@@ -9,6 +9,7 @@ built by the derive/recurse/integrate induction with a brute-force fallback.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -38,10 +39,9 @@ from .reps import (
     _find_splitting_idempotent,
 )
 from .tits import (
+    DEFAULT_SCAN_BUDGET,
     DimensionVector,
-    finite_type_scan,
     is_finite_type,
-    is_root,
     dominated_critical,
     tits_value,
 )
@@ -320,6 +320,7 @@ class Census:
 class _CensusCore:
     count: int
     indec_configs: tuple[tuple[int, ...], ...]
+    n_configs: int                     # configurations enumerated, held against budgets
 
 
 _CENSUS_CACHE: dict[tuple, _CensusCore] = {}
@@ -338,7 +339,26 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
         basis = [m.f for m in rep_hom_basis(v, v)]
         if _find_splitting_idempotent(basis, d.d0, field) is None:
             indec.append(cfg)
-    return _CensusCore(len(reps), tuple(indec))
+    return _CensusCore(len(reps), tuple(indec), len(configs))
+
+
+def _canonical_support(poset: Poset, d: DimensionVector):
+    """(canonical order, canonical relations) of the support weighted by d.
+
+    Memoized in poset._cache per weighted support, so every d0 over the same
+    weights shares one canonical_form call.  Only the order and the relation
+    set are kept, not the subposet itself.
+    """
+    memo = poset._cache.setdefault("canonical_support", {})
+    weights = tuple(d.get(a) for a in poset.elements)
+    got = memo.get(weights)
+    if got is None:
+        sub = induced_subposet(poset, d.support())
+        _, order = canonical_form(sub, {a: d.get(a) for a in sub.elements})
+        pos = {a: i for i, a in enumerate(order)}
+        rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
+        got = memo[weights] = (order, rels)
+    return got
 
 
 def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
@@ -346,7 +366,8 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
     """Classes of representations of dimension exactly d over GF(p).
 
     Cached by the canonically labelled support poset, so isomorphic supports
-    share the underlying enumeration.
+    share the underlying enumeration.  A cached census still raises
+    BudgetExceeded when its enumeration exceeds the caller's budget.
     """
     if not field.is_prime_field:
         raise FieldTooRestrictive("class counting requires a finite prime field")
@@ -357,28 +378,25 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
     if d.d0 == 0:
         count = 1 if not d.support() else 0
         return Census(poset, d, field, count, ())
-    supp = poset.sorted_subset(d.support())
-    sub = induced_subposet(poset, supp)
-    ds = d.restrict(supp)
-    _, order = canonical_form(sub, {a: ds.get(a) for a in sub.elements})
-    canon_elems = [str(i) for i in range(len(order))]
-    pos = {a: i for i, a in enumerate(order)}
-    canon = Poset(canon_elems,
-                  [(str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs()])
-    dc = DimensionVector(d.d0, {str(i): ds.get(order[i]) for i in range(len(order))})
-    key = (len(order), canon.relation_pairs(), dc.key(), field.p)
+    order, rels = _canonical_support(poset, d)
+    dc = DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
+    key = (len(order), rels, dc.key(), field.p)
     core = _CENSUS_CACHE.get(key)
     if core is None:
+        canon = Poset([str(i) for i in range(len(order))], rels)
         core = _census_core(canon, dc, field.p, budget)
         _CENSUS_CACHE[key] = core
-    space = _space(field.p, d.d0)
+    elif core.n_configs > budget:
+        raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
     indec = []
-    for cfg in core.indec_configs:
-        subs = {order[i]: space.to_matrix(cfg[i], field) for i in range(len(order))}
-        v = SubspaceRep(sub, field, d.d0, subs)
-        u = lift(v)
-        indec.append(MatrixRep(poset, field, d.d0,
-                               {a: u.blocks[a] for a in sub.elements}))
+    if core.indec_configs:
+        sub = induced_subposet(poset, order)
+        space = _space(field.p, d.d0)
+        for cfg in core.indec_configs:
+            subs = {order[i]: space.to_matrix(cfg[i], field) for i in range(len(order))}
+            u = lift(SubspaceRep(sub, field, d.d0, subs))
+            indec.append(MatrixRep(poset, field, d.d0,
+                                   {a: u.blocks[a] for a in sub.elements}))
     return Census(poset, d, field, core.count, tuple(indec))
 
 
@@ -397,9 +415,12 @@ def el_indecomposable_count(poset: Poset, d: DimensionVector, field: FieldSpec,
     representation-level census answers.
     """
     if d.d0 == 0:
-        vals = sorted(d.values.values())
-        return 1 if vals == [1] else 0
+        return _zero_row_indecomposables(d)
     return len(rep_iso_census(poset, d, field, budget).indecomposables)
+
+
+def _zero_row_indecomposables(d: DimensionVector) -> int:
+    return 1 if sorted(d.values.values()) == [1] else 0
 
 
 def brute_force_indecomposables(poset: Poset, d: DimensionVector, field: FieldSpec,
@@ -557,38 +578,56 @@ def verify_main_theorem(poset: Poset, max_total: int,
     must be field independent, the indecomposable count must be 1 or 0
     according to Q(d) = 1, and the unique indecomposable must have scalar
     endomorphisms only (both at the representation and the element level).
+
+    The scan criterion, Q > 0 on every nonzero d' ≤ d, is decided by
+    induction over the sweep: the dimensions form a down-set visited by
+    total, so it holds at d iff d = 0, or Q(d) > 0 and it holds at every
+    d − e_i with d_i > 0.  Like finite_type_scan, the comparison is skipped
+    with a note when the subvector grid of d exceeds the scan budget.  One
+    census per field serves the class count, the indecomposable count and
+    the endomorphism check.
     """
     fields = list(fields)
+    scan_budget = env_budget(DEFAULT_SCAN_BUDGET) if budget is None else budget
+    positive: dict[tuple[int, ...], bool] = {}
     reports = []
     failures: list[str] = []
     for d in sorted(_all_dimensions(poset, max_total), key=lambda v: (v.total(), v.key())):
         notes = []
+        ok = True
         witness = dominated_critical(poset, d)
         ft = witness is None
-        try:
-            scan = finite_type_scan(poset, d, budget)
-            if scan != ft:
-                failures.append(f"{d}: scan criterion {scan} vs dominance {not witness}")
-        except BudgetExceeded:
+        q = tits_value(poset, d)
+        root = q == 1
+        vec = (d.d0, *(d.get(a) for a in poset.elements))
+        scan = d.is_zero() or q > 0 and all(
+            positive[vec[:i] + (v - 1,) + vec[i + 1:]] for i, v in enumerate(vec) if v)
+        positive[vec] = scan
+        if math.prod(v + 1 for v in vec) > scan_budget:
             notes.append("scan skipped: budget")
-        root = is_root(poset, d)
-        counts: dict[str, int] = {}
+        elif scan != ft:
+            ok = False
+            failures.append(f"{d}: scan criterion {scan} vs dominance {not witness}")
+        censuses: list[Census | None] = []
+        for f in fields:
+            try:
+                censuses.append(rep_iso_census(poset, d, f, budget))
+            except BudgetExceeded:
+                censuses.append(None)
+                notes.append(f"census skipped over {f.label()}: budget")
+        counts = {c.field.label(): c.count for c in censuses if c is not None}
         indec = None
         end_dim = None
-        ok = True
         if ft:
             expected = 1 if root else 0
-            for f in fields:
-                try:
-                    counts[f.label()] = count_iso_classes(poset, d, f, budget)
-                    n_ind = el_indecomposable_count(poset, d, f, budget)
-                except BudgetExceeded:
-                    notes.append(f"census skipped over {f.label()}: budget")
+            for c in censuses:
+                if c is None:
                     continue
+                n_ind = len(c.indecomposables) if d.d0 else _zero_row_indecomposables(d)
                 if n_ind != expected:
                     ok = False
-                    failures.append(
-                        f"{d} over {f.label()}: {n_ind} indecomposables, expected {expected}")
+                    failures.append(f"{d} over {c.field.label()}: {n_ind} "
+                                    f"indecomposables, expected {expected}")
             if len(set(counts.values())) > 1:
                 ok = False
                 failures.append(f"{d}: class counts differ across fields: {counts}")
@@ -598,26 +637,18 @@ def verify_main_theorem(poset: Poset, max_total: int,
                     (a, _), = d.values.items()
                     indec = special_T(poset, f, a)
                     end_dim = len(el_hom_basis(indec, indec))
-                else:
-                    census = rep_iso_census(poset, d, f, budget)
-                    if census.indecomposables:
-                        indec = census.indecomposables[0]
-                        end_dim = len(el_hom_basis(indec, indec))
-                        rep_end = rep_end_dimension(rho(indec))
-                        if rep_end != 1 or end_dim != 1:
-                            ok = False
-                            failures.append(
-                                f"{d}: End dims rep={rep_end} el={end_dim}, expected 1")
-                        built = construct_indecomposable(poset, d, f)
-                        if built is None or are_isomorphic(built, indec) is None:
-                            ok = False
-                            failures.append(f"{d}: constructed element not isomorphic")
-        else:
-            for f in fields:
-                try:
-                    counts[f.label()] = count_iso_classes(poset, d, f, budget)
-                except BudgetExceeded:
-                    notes.append(f"census skipped over {f.label()}: budget")
+                elif censuses[0] is not None and censuses[0].indecomposables:
+                    indec = censuses[0].indecomposables[0]
+                    end_dim = len(el_hom_basis(indec, indec))
+                    rep_end = rep_end_dimension(rho(indec))
+                    if rep_end != 1 or end_dim != 1:
+                        ok = False
+                        failures.append(
+                            f"{d}: End dims rep={rep_end} el={end_dim}, expected 1")
+                    built = construct_indecomposable(poset, d, f)
+                    if built is None or are_isomorphic(built, indec) is None:
+                        ok = False
+                        failures.append(f"{d}: constructed element not isomorphic")
         reports.append(ClassificationReport(
             dimension=d, finite_type=ft, witness=witness, is_root=root,
             indecomposable=indec, end_dim=end_dim, iso_class_counts=counts,

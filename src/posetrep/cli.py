@@ -18,7 +18,6 @@ from .errors import (
     UndecidableAtBudget,
     ValidationError,
 )
-from .linalg import GF
 from .poset import critical_subposet_embeddings
 from .reps import decompose, dimension_of, lift, rho
 from .tits import dominated_critical, tits_value
@@ -166,7 +165,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     poset = _load_poset(args)
-    fields = [GF(int(p)) for p in args.fields.split(",") if p.strip()]
+    fields = [jsonio.parse_field_flag(p) for p in args.fields.split(",") if p.strip()]
     reports, failures = classify.verify_main_theorem(
         poset, args.max_total, fields, budget=args.budget)
     _write_output([jsonio.report_to_json(r) for r in reports], args.out)

@@ -3,6 +3,7 @@
 import pytest
 
 import posetrep as pr
+from posetrep import classify
 
 from conftest import all_dimensions
 
@@ -71,6 +72,14 @@ def test_brute_force_budget(a3):
     with pytest.raises(pr.BudgetExceeded):
         pr.brute_force_indecomposables(a3, D(4, x=4, y=4, z=4), F3,
                                        method="matrices", budget=100)
+
+
+def test_census_cache_respects_budget(a4):
+    """A cached census answers only callers whose budget covers its enumeration."""
+    d = D(2, w=1, x=1, y=1, z=1)
+    assert pr.count_iso_classes(a4, d, F3) == 15
+    with pytest.raises(pr.BudgetExceeded):
+        pr.count_iso_classes(a4, d, F3, budget=10)
 
 
 def test_brute_force_rejects_rationals(a3):
@@ -162,3 +171,32 @@ def test_verify_chain_every_root_constructs(chain4):
         assert r.finite_type
         if r.is_root and r.dimension.d0 > 0:
             assert r.indecomposable is not None and r.end_dim == 1
+
+
+def test_verify_criterion_disagreement_fails_the_report(a3, a4, monkeypatch):
+    fake = pr.dominated_critical(a4, D(2, w=1, x=1, y=1, z=1))
+    monkeypatch.setattr(classify, "dominated_critical", lambda p, d: fake)
+    reports, failures = pr.verify_main_theorem(a3, 1, [F2, F3])
+    assert len(reports) == 5 and len(failures) == 5
+    assert not any(r.ok for r in reports)
+
+
+def test_verify_scan_budget_skips_only_large_grids(a3):
+    """Under a small budget the sweep still returns; only grids over it skip the scan."""
+    budget = 20
+    reports, failures = pr.verify_main_theorem(a3, 5, [F2, F3], budget=budget)
+    assert failures == []
+    skipped = {r.dimension.key() for r in reports if "scan skipped: budget" in r.notes}
+    over = set()
+    for r in reports:
+        grid = r.dimension.d0 + 1
+        for a in a3.elements:
+            grid *= r.dimension.get(a) + 1
+        if grid > budget:
+            over.add(r.dimension.key())
+    assert over and skipped == over
+    # the root (2; 1, 1, 1) has 27 configurations over GF(2): its census and
+    # hence its endomorphism check are skipped, not raised
+    three = next(r for r in reports if r.dimension == D(2, x=1, y=1, z=1))
+    assert "census skipped over GF(2): budget" in three.notes
+    assert three.indecomposable is None and three.ok

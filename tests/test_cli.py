@@ -124,6 +124,12 @@ def test_verify_cli_a3(tmp_path, capsys, a3_file):
     assert all(report["ok"] for report in out)
 
 
+def test_verify_cli_rejects_bad_field(capsys, a3_file):
+    code = main(["verify", "--poset", a3_file, "--max-total", "1", "--fields", "2,x"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_round_trip_reparse(tmp_path, capsys, a3_file):
     code, out = run(capsys, "derive", "--poset", a3_file, "--pivot", "x")
     ctx = jsonio.derived_from_json(out)
