@@ -14,6 +14,7 @@ from .errors import (
     DuplicateLabel,
     FieldMismatch,
     FieldTooRestrictive,
+    InvariantViolated,
     NotFiniteType,
     NotMaximal,
     PosetRepError,

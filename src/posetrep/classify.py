@@ -1,23 +1,34 @@
 """Classification and construction procedures, plus brute-force oracles.
 
 Isomorphism classes of representations with an exact dimension vector are
-counted by enumerating subspace configurations and flooding them with
-GL(d0) generator moves; indecomposables of finite-type root dimensions are
-built by the derive/recurse/integrate induction with a brute-force fallback.
+counted by enumerating subspace configurations and taking their GL(d0)
+orbits on arrays: each generator permutes the interned subspace ids through
+a lazily grown table, all configurations are moved at once, image rows are
+found by exact packed keys, and the orbits are the connected components of
+those moves.  Indecomposables of finite-type root dimensions are built by
+the derive/recurse/integrate induction with a brute-force fallback.
+
+The census caches may be filled from several threads: one lock covers
+space creation, census computation (with the generator tables it grows)
+and the cache insert; cache hits are lock-free reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .derivation import derive_poset, integrate, subordinate_dimensions
 from .errors import (
     BudgetExceeded,
     ConstructionFailed,
     FieldTooRestrictive,
+    InvariantViolated,
     NotFiniteType,
     ValidationError,
 )
@@ -67,7 +78,9 @@ class SubspaceSpace:
     """Interned subspaces of F_p^n with memoized span and GL-generator actions.
 
     Vectors are encoded as base-p integers; a subspace is a canonical tuple
-    of reduced-echelon basis vectors.
+    of reduced-echelon basis vectors.  The generator actions are kept as one
+    table over the subspace ids, row g holding the image of each id under
+    generator g (-1 where not yet computed).
     """
 
     def __init__(self, p: int, n: int):
@@ -80,10 +93,9 @@ class SubspaceSpace:
         self._extend: dict[tuple[int, int], int] = {}
         self._join: dict[tuple[int, int], int] = {}
         self._supersets: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._apply: list[dict[int, int]] = []
         self.zero_id = self._intern(())
         self.generators = self._gl_generators()
-        self._apply = [dict() for _ in self.generators]
+        self._table = np.full((len(self.generators), 0), -1, dtype=np.int64)
 
     # vector encoding ------------------------------------------------------
 
@@ -219,18 +231,32 @@ class SubspaceSpace:
         return gens
 
     def apply_generator(self, gidx: int, sid: int) -> int:
-        got = self._apply[gidx].get(sid)
-        if got is None:
-            g = self.generators[gidx]
-            rows = []
-            for row in self._basis[sid]:
-                rows.append(tuple(
-                    sum(g[i][j] * row[j] for j in range(self.n)) % self.p
-                    for i in range(self.n)
-                ))
-            got = self._intern(self._rref(rows))
-            self._apply[gidx][sid] = got
-        return got
+        g = self.generators[gidx]
+        rows = []
+        for row in self._basis[sid]:
+            rows.append(tuple(
+                sum(g[i][j] * row[j] for j in range(self.n)) % self.p
+                for i in range(self.n)
+            ))
+        return self._intern(self._rref(rows))
+
+    def generator_table(self, ids: np.ndarray) -> np.ndarray:
+        """The (generators, ·) image table, filled in at least for the ids in
+        the given array: table[g, s] is the id of generator g applied to s."""
+        table = self._table
+        need = int(ids.max()) + 1
+        if table.shape[1] < need:
+            grown = np.full((len(self.generators), max(need, 2 * table.shape[1])),
+                            -1, dtype=np.int64)
+            grown[:, :table.shape[1]] = table
+            self._table = table = grown
+        if len(self.generators):
+            wanted = np.zeros(table.shape[1], dtype=bool)
+            wanted[ids] = True
+            for sid in np.flatnonzero(wanted & (table[0] < 0)).tolist():
+                table[:, sid] = [self.apply_generator(g, sid)
+                                 for g in range(len(self.generators))]
+        return table
 
     def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
         """Canonical basis of the subspace, as columns of an ExactMatrix."""
@@ -240,13 +266,18 @@ class SubspaceSpace:
 
 
 _SPACES: dict[tuple[int, int], SubspaceSpace] = {}
+# Guards every write to _SPACES, _CENSUS_CACHE and the spaces themselves.
+# Reentrant, because _census_core runs under it and looks up its space.
+_LOCK = threading.RLock()
 
 
 def _space(p: int, n: int) -> SubspaceSpace:
     got = _SPACES.get((p, n))
     if got is None:
-        got = SubspaceSpace(p, n)
-        _SPACES[(p, n)] = got
+        with _LOCK:
+            got = _SPACES.get((p, n))
+            if got is None:
+                got = _SPACES[(p, n)] = SubspaceSpace(p, n)
     return got
 
 
@@ -281,28 +312,96 @@ def _enumerate_configs(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     return out
 
 
+class _RowKeys:
+    """Exact int64 keys for the rows of a 2-d integer array.
+
+    Each column is coded densely, by its sorted distinct values, and the
+    codes are combined in mixed radix.  Before the radix product would pass
+    2^63, the partial key is re-ranked densely, so its radix drops to at most
+    the number of rows.  keys holds one key per row, equal exactly when the
+    rows are equal.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._steps: list[tuple[np.ndarray, np.ndarray | None]] = []
+        key = np.zeros(len(rows), dtype=np.int64)
+        radix = 1
+        for col in rows.T:
+            values, code = np.unique(col, return_inverse=True)
+            ranks = None
+            if radix * len(values) > 1 << 63:
+                ranks, key = np.unique(key, return_inverse=True)
+                radix = len(ranks)
+            self._steps.append((values, ranks))
+            key = key * len(values) + code
+            radix *= len(values)
+        self.keys = key
+        self._order = np.argsort(key)
+        self._sorted = key[self._order]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each given row among the coded rows, or -1."""
+        found = np.ones(len(rows), dtype=bool)
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col, (values, ranks) in zip(rows.T, self._steps):
+            if ranks is not None:
+                key = _locate(ranks, key, found)
+            key = key * len(values) + _locate(values, col, found)
+        pos = _locate(self._sorted, key, found)
+        return np.where(found, self._order[pos], -1)
+
+
+def _locate(ordered: np.ndarray, x: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Positions of x in the sorted array, kept in range; clears found where
+    x is absent."""
+    pos = np.minimum(np.searchsorted(ordered, x), len(ordered) - 1)
+    found &= ordered[pos] == x
+    return pos
+
+
+def _orbit_minima(moves: np.ndarray) -> np.ndarray:
+    """The least index in each configuration's orbit.
+
+    moves[g] is the permutation of configuration indices by generator g.
+    Every label is an index in its own orbit; each round lowers it to the
+    least label among its neighbours under the generators and their
+    inverses, then jumps pointers, until nothing changes.
+    """
+    label = np.arange(moves.shape[1])
+    while True:
+        new = label.copy()
+        for move in moves:
+            np.minimum(new, label[move], out=new)
+            new[move] = np.minimum(new[move], label)
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def _orbit_representatives(configs: list[tuple[int, ...]],
                            space: SubspaceSpace) -> list[tuple[int, ...]]:
-    """One representative per GL(d0)-orbit, in first-seen order."""
-    config_set = set(configs)
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    n_gens = len(space.generators)
-    for cfg in configs:
-        if cfg in seen:
-            continue
-        reps.append(cfg)
-        queue = [cfg]
-        seen.add(cfg)
-        while queue:
-            cur = queue.pop()
-            for g in range(n_gens):
-                nxt = tuple(space.apply_generator(g, sid) for sid in cur)
-                if nxt not in seen:
-                    assert nxt in config_set, "orbit left the configuration set"
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return reps
+    """One representative per GL(d0)-orbit: the first configuration of each
+    orbit, in enumeration order.
+
+    Raises InvariantViolated when a generator moves a configuration out of
+    the set, which the enumeration of an exact dimension rules out.
+    """
+    n = len(configs)
+    if n <= 1:
+        return list(configs)
+    cfg = np.array(configs, dtype=np.int64)
+    table = space.generator_table(cfg)
+    rows = _RowKeys(cfg)
+    moves = np.empty((len(table), n), dtype=np.int64)
+    for g, image in enumerate(table):
+        moves[g] = rows.find(image[cfg])
+    if (moves < 0).any():
+        raise InvariantViolated("a GL generator moved a configuration out of the set")
+    label = _orbit_minima(moves)
+    return [configs[i] for i in np.flatnonzero(label == np.arange(n)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -383,10 +482,12 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
     key = (len(order), rels, dc.key(), field.p)
     core = _CENSUS_CACHE.get(key)
     if core is None:
-        canon = Poset([str(i) for i in range(len(order))], rels)
-        core = _census_core(canon, dc, field.p, budget)
-        _CENSUS_CACHE[key] = core
-    elif core.n_configs > budget:
+        with _LOCK:
+            core = _CENSUS_CACHE.get(key)
+            if core is None:
+                canon = Poset([str(i) for i in range(len(order))], rels)
+                core = _CENSUS_CACHE[key] = _census_core(canon, dc, field.p, budget)
+    if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
     indec = []
     if core.indec_configs:
@@ -504,11 +605,13 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec,
                        fallback: str) -> MatrixRep:
     if d.d0 == 0:
         items = list(d.values.items())
-        assert len(items) == 1 and items[0][1] == 1, "root with zero rows must be trivial"
+        if len(items) != 1 or items[0][1] != 1:
+            raise InvariantViolated(f"root {d} with zero rows is not trivial")
         return special_T(poset, field, items[0][0])
     if d.d0 == 1:
         members = [a for a in poset.elements if d.get(a)]
-        assert all(d.get(a) == 1 for a in members)
+        if any(d.get(a) != 1 for a in members):
+            raise InvariantViolated(f"root {d} with one row has an entry above 1")
         return antichain_unit_element(poset, field, members)
     for a in poset.elements:
         if a not in maximal_elements(poset):
@@ -516,7 +619,8 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec,
         context = derive_poset(poset, a)
         derived = context.result
         for dprime in subordinate_dimensions(poset, a, d):
-            assert dprime.total() < d.total()
+            if dprime.total() >= d.total():
+                raise InvariantViolated(f"subordinate dimension {dprime} is not below {d}")
             if tits_value(derived, dprime) != 1:
                 continue
             if not is_finite_type(derived, dprime):
@@ -534,7 +638,9 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec,
         raise FieldTooRestrictive(
             "construction over the rationals needed the enumeration fallback")
     found = brute_force_indecomposables(poset, d, field)
-    assert len(found) == 1, "finite-type root must have a unique indecomposable"
+    if len(found) != 1:
+        raise InvariantViolated(
+            f"finite-type root {d} has {len(found)} indecomposables, not one")
     return found[0]
 
 

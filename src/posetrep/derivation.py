@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ContextMismatch, NotMaximal, ValidationError
+from .errors import ContextMismatch, InvariantViolated, NotMaximal, ValidationError
 from .linalg import (
     ExactMatrix,
     complete_to_full_rank,
@@ -206,7 +206,9 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
             raise ValidationError(f"element {b!r} sits above the maximal pivot")
     result = MatrixRep(base, field, D0 + new_rows, blocks)
     expected = dstar(dimension_of(v), context, blocks[a].cols)
-    assert dimension_of(result) == expected
+    if dimension_of(result) != expected:
+        raise InvariantViolated(
+            f"integration gave {dimension_of(result)}, expected {expected}")
     return result
 
 

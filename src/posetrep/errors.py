@@ -51,3 +51,7 @@ class UndecidableAtBudget(PosetRepError):
 
 class ConstructionFailed(PosetRepError):
     """Recursive construction failed and the brute-force fallback was disabled."""
+
+
+class InvariantViolated(PosetRepError):
+    """An internal invariant failed: a bug in posetrep, not bad input."""

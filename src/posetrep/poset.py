@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, DuplicateLabel, UnknownElement
+from .errors import CycleDetected, DuplicateLabel, InvariantViolated, UnknownElement
 
 
 class Poset:
@@ -254,7 +254,8 @@ def chain_cover(p: Poset) -> list[tuple[str, ...]]:
             chain.append(match_left[chain[-1]])
         chains.append(tuple(chain))
         seen.update(chain)
-    assert seen == set(elems)
+    if seen != set(elems):
+        raise InvariantViolated("chain cover misses elements")
     p._cache["chain_cover"] = chains
     return chains
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     FieldMismatch,
+    InvariantViolated,
     UndecidableAtBudget,
     UnknownElement,
     ValidationError,
@@ -586,7 +587,8 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
             for i in range(n)
         ])
         e = A @ diag @ A.inverse()
-        assert e @ e == e
+        if e @ e != e:
+            raise InvariantViolated("splitting element is not idempotent")
         return e
 
     for f in basis:

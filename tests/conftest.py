@@ -72,30 +72,26 @@ def random_element(poset: Poset, rng: random.Random, field=None,
     return pr.MatrixRep(poset, field, d0, blocks)
 
 
-def burnside_line_tuple_orbits(p: int, n_lines_tuple: int) -> int:
-    """Orbit count of GL2(F_p) on tuples of lines in F_p^2, by Burnside's lemma."""
-    vectors = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
-    lines = set()
-    for v in vectors:
-        scalings = frozenset(tuple(c * x % p for x in v) for c in range(1, p))
-        lines.add(scalings)
-    lines = list(lines)
-    group = []
-    for entries in itertools.product(range(p), repeat=4):
-        a, b, c, d = entries
-        if (a * d - b * c) % p:
-            group.append(((a, b), (c, d)))
-    total = 0
-    for g in group:
+def burnside_point_tuple_orbits(p: int, n: int, m: int) -> int:
+    """Orbit count of GL_n(F_p) on m-tuples of points of P^{n-1}(F_p), by
+    Burnside's lemma: the mean over the group of (fixed points)^m."""
+    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    points = {frozenset(tuple(c * x % p for x in v) for c in range(1, p)) for v in vectors}
+    order = total = 0
+    for entries in itertools.product(range(p), repeat=n * n):
+        g = [entries[i * n:(i + 1) * n] for i in range(n)]
         fixed = 0
-        for line in lines:
-            v = next(iter(line))
-            gv = tuple(sum(g[i][j] * v[j] for j in range(2)) % p for i in range(2))
-            if gv in line:
-                fixed += 1
-        total += fixed ** n_lines_tuple
-    assert total % len(group) == 0
-    return total // len(group)
+        for point in points:
+            v = next(iter(point))
+            gv = tuple(sum(gi[j] * v[j] for j in range(n)) % p for gi in g)
+            if not any(gv):
+                break  # g kills a point, so g is singular
+            fixed += gv in point
+        else:
+            order += 1
+            total += fixed ** m
+    assert total % order == 0
+    return total // order
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from posetrep.reps import rep_decompose, rep_end_dimension, stacked_lower_blocks
 from conftest import (
     all_dimensions,
     all_posets_upto,
-    burnside_line_tuple_orbits,
+    burnside_point_tuple_orbits,
     random_element,
 )
 
@@ -136,8 +136,8 @@ def test_criterion_4_infinite_type_witness(a4):
     d = pr.DimensionVector(2, {"w": 1, "x": 1, "y": 1, "z": 1})
     got2 = pr.count_iso_classes(a4, d, F2)
     got3 = pr.count_iso_classes(a4, d, F3)
-    oracle2 = burnside_line_tuple_orbits(2, 4)
-    oracle3 = burnside_line_tuple_orbits(3, 4)
+    oracle2 = burnside_point_tuple_orbits(2, 2, 4)
+    oracle3 = burnside_point_tuple_orbits(3, 2, 4)
     ok = (got2, got3) == (14, 15) == (oracle2, oracle3) and got2 < got3
     _line(4, ok, f"4-antichain at (2;1,1,1,1): {got2} classes over GF(2), "
                  f"{got3} over GF(3); Burnside oracle gives {oracle2}/{oracle3}")
@@ -147,8 +147,8 @@ def test_criterion_5_field_independence(a3):
     d = pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1})
     got2 = pr.count_iso_classes(a3, d, F2)
     got3 = pr.count_iso_classes(a3, d, F3)
-    oracle2 = burnside_line_tuple_orbits(2, 3)
-    oracle3 = burnside_line_tuple_orbits(3, 3)
+    oracle2 = burnside_point_tuple_orbits(2, 2, 3)
+    oracle3 = burnside_point_tuple_orbits(3, 2, 3)
     ok = got2 == got3 == 5 == oracle2 == oracle3
     _line(5, ok, f"3-antichain at (2;1,1,1): {got2} classes over GF(2), "
                  f"{got3} over GF(3); Burnside oracle gives {oracle2}/{oracle3}")
