@@ -2,11 +2,15 @@
 
 Isomorphism classes of representations with an exact dimension vector are
 counted by enumerating subspace configurations and taking their GL(d0)
-orbits on arrays: each generator permutes the interned subspace ids through
-a lazily grown table, all configurations are moved at once, image rows are
-found by exact packed keys, and the orbits are the connected components of
-those moves.  Indecomposables of finite-type root dimensions are built by
-the derive/recurse/integrate induction with a brute-force fallback.
+orbits on arrays: each generator, an elementary column operation, permutes
+the interned subspace ids through a lazily grown table, all configurations
+are moved at once, image rows are found by exact packed keys, and the orbits
+are the connected components of those moves.  A census is cached as a core
+of numbers and configurations: count_iso_classes, el_indecomposable_count
+and the verification harness's counts read the core, and only
+rep_iso_census and brute_force_indecomposables lift its indecomposables to
+elements.  Indecomposables of finite-type root dimensions are built by the
+derive/recurse/integrate induction with a brute-force fallback.
 
 The census caches may be filled from several threads: one lock covers
 space creation, census computation (with the generator tables it grows)
@@ -78,9 +82,11 @@ class SubspaceSpace:
     """Interned subspaces of F_p^n with memoized span and GL-generator actions.
 
     Vectors are encoded as base-p integers; a subspace is a canonical tuple
-    of reduced-echelon basis vectors.  The generator actions are kept as one
-    table over the subspace ids, row g holding the image of each id under
-    generator g (-1 where not yet computed).
+    of reduced-echelon basis vectors.  Each GL generator is an elementary
+    column operation, so an image costs one operation per basis row and a
+    re-reduction.  The generator actions are kept as one table over the
+    subspace ids, row g holding the image of each id under generator g
+    (-1 where not yet computed).
     """
 
     def __init__(self, p: int, n: int):
@@ -215,29 +221,26 @@ class SubspaceSpace:
 
     # group action --------------------------------------------------------------
 
-    def _gl_generators(self) -> list[tuple[tuple[int, ...], ...]]:
-        n, p = self.n, self.p
-        gens = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    g = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-                    g[i][j] = 1
-                    gens.append(tuple(tuple(r) for r in g))
-        if p > 2 and n > 0:
-            g = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            g[0][0] = _primitive_root(p)
-            gens.append(tuple(tuple(r) for r in g))
+    def _gl_generators(self) -> list[tuple[int, int, int]]:
+        """Generators of GL_n(F_p), each an elementary column operation
+        (i, j, r) on the coordinates: x_i += x_j when i != j, and x_0 *= r
+        for a primitive root r when p > 2."""
+        n = self.n
+        gens = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
+        if self.p > 2 and n > 0:
+            gens.append((0, 0, _primitive_root(self.p)))
         return gens
 
     def apply_generator(self, gidx: int, sid: int) -> int:
-        g = self.generators[gidx]
+        """The id of generator gidx applied to subspace sid: its column
+        operation on each echelon row, then re-reduced and interned."""
+        i, j, r = self.generators[gidx]
+        p = self.p
         rows = []
         for row in self._basis[sid]:
-            rows.append(tuple(
-                sum(g[i][j] * row[j] for j in range(self.n)) % self.p
-                for i in range(self.n)
-            ))
+            row = list(row)
+            row[i] = (row[i] + row[j]) % p if i != j else row[i] * r % p
+            rows.append(row)
         return self._intern(self._rref(rows))
 
     def generator_table(self, ids: np.ndarray) -> np.ndarray:
@@ -460,13 +463,16 @@ def _canonical_support(poset: Poset, d: DimensionVector):
     return got
 
 
-def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
-                   budget: int | None = None) -> Census:
-    """Classes of representations of dimension exactly d over GF(p).
+def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
+                   budget: int | None) -> tuple[_CensusCore, tuple[str, ...]]:
+    """The validated, cached census core of d, and the support order its
+    configurations are indexed by.
 
-    Cached by the canonically labelled support poset, so isomorphic supports
-    share the underlying enumeration.  A cached census still raises
-    BudgetExceeded when its enumeration exceeds the caller's budget.
+    Every census entry point comes through here: the field must be a finite
+    prime field and every element of the support must belong to the poset.
+    Censuses with d0 = 0 are answered without the cache.  A cached core
+    still raises BudgetExceeded when its enumeration exceeds the caller's
+    budget.
     """
     if not field.is_prime_field:
         raise FieldTooRestrictive("class counting requires a finite prime field")
@@ -475,8 +481,7 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
     for a in d.support():
         poset.check_element(a)
     if d.d0 == 0:
-        count = 1 if not d.support() else 0
-        return Census(poset, d, field, count, ())
+        return _CensusCore(0 if d.support() else 1, (), 0), ()
     order, rels = _canonical_support(poset, d)
     dc = DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
     key = (len(order), rels, dc.key(), field.p)
@@ -489,22 +494,45 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
                 core = _CENSUS_CACHE[key] = _census_core(canon, dc, field.p, budget)
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
-    indec = []
-    if core.indec_configs:
-        sub = induced_subposet(poset, order)
-        space = _space(field.p, d.d0)
-        for cfg in core.indec_configs:
-            subs = {order[i]: space.to_matrix(cfg[i], field) for i in range(len(order))}
-            u = lift(SubspaceRep(sub, field, d.d0, subs))
-            indec.append(MatrixRep(poset, field, d.d0,
-                                   {a: u.blocks[a] for a in sub.elements}))
-    return Census(poset, d, field, core.count, tuple(indec))
+    return core, order
+
+
+def _lift_configs(poset: Poset, d0: int, field: FieldSpec, order: tuple[str, ...],
+                  configs: Sequence[tuple[int, ...]]) -> tuple[MatrixRep, ...]:
+    """The elements of poset lifted from census configurations."""
+    if not configs:
+        return ()
+    sub = induced_subposet(poset, order)
+    space = _space(field.p, d0)
+    out = []
+    for cfg in configs:
+        subs = {order[i]: space.to_matrix(cfg[i], field) for i in range(len(order))}
+        u = lift(SubspaceRep(sub, field, d0, subs))
+        out.append(MatrixRep(poset, field, d0, {a: u.blocks[a] for a in sub.elements}))
+    return tuple(out)
+
+
+def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
+                   budget: int | None = None) -> Census:
+    """Classes of representations of dimension exactly d over GF(p), with
+    each indecomposable lifted to an element of the poset.
+
+    Cached by the canonically labelled support poset, so isomorphic supports
+    share the underlying enumeration.  A cached census still raises
+    BudgetExceeded when its enumeration exceeds the caller's budget.
+    Callers that only count should use
+    count_iso_classes or el_indecomposable_count, which read the cached core
+    and lift nothing.
+    """
+    core, order = _census_lookup(poset, d, field, budget)
+    indec = _lift_configs(poset, d.d0, field, order, core.indec_configs)
+    return Census(poset, d, field, core.count, indec)
 
 
 def count_iso_classes(poset: Poset, d: DimensionVector, field: FieldSpec,
                       budget: int | None = None) -> int:
     """Number of representation-level isomorphism classes of exact dimension d."""
-    return rep_iso_census(poset, d, field, budget).count
+    return _census_lookup(poset, d, field, budget)[0].count
 
 
 def el_indecomposable_count(poset: Poset, d: DimensionVector, field: FieldSpec,
@@ -515,12 +543,13 @@ def el_indecomposable_count(poset: Poset, d: DimensionVector, field: FieldSpec,
     the count is 1 exactly when a single entry equals 1; otherwise the
     representation-level census answers.
     """
-    if d.d0 == 0:
-        return _zero_row_indecomposables(d)
-    return len(rep_iso_census(poset, d, field, budget).indecomposables)
+    core, _ = _census_lookup(poset, d, field, budget)
+    return _indecomposable_count(d, core)
 
 
-def _zero_row_indecomposables(d: DimensionVector) -> int:
+def _indecomposable_count(d: DimensionVector, core: _CensusCore) -> int:
+    if d.d0:
+        return len(core.indec_configs)
     return 1 if sorted(d.values.values()) == [1] else 0
 
 
@@ -541,6 +570,8 @@ def brute_force_indecomposables(poset: Poset, d: DimensionVector, field: FieldSp
         budget = env_budget(DEFAULT_ENUM_BUDGET)
     if method not in ("auto", "configurations", "matrices"):
         raise ValidationError(f"unknown method {method!r}")
+    for a in d.support():
+        poset.check_element(a)
     if d.d0 == 0:
         # zero-row elements decompose into trivial summands; the only
         # indecomposable of such a dimension is a single trivial element
@@ -690,8 +721,9 @@ def verify_main_theorem(poset: Poset, max_total: int,
     total, so it holds at d iff d = 0, or Q(d) > 0 and it holds at every
     d − e_i with d_i > 0.  Like finite_type_scan, the comparison is skipped
     with a note when the subvector grid of d exceeds the scan budget.  One
-    census per field serves the class count, the indecomposable count and
-    the endomorphism check.
+    cached census core per field serves the class and indecomposable
+    counts; only the first field's indecomposable of a root is lifted, for
+    the endomorphism and construction checks.
     """
     fields = list(fields)
     scan_budget = env_budget(DEFAULT_SCAN_BUDGET) if budget is None else budget
@@ -714,25 +746,25 @@ def verify_main_theorem(poset: Poset, max_total: int,
         elif scan != ft:
             ok = False
             failures.append(f"{d}: scan criterion {scan} vs dominance {not witness}")
-        censuses: list[Census | None] = []
+        cores: list[tuple[_CensusCore, tuple[str, ...]] | None] = []
         for f in fields:
             try:
-                censuses.append(rep_iso_census(poset, d, f, budget))
+                cores.append(_census_lookup(poset, d, f, budget))
             except BudgetExceeded:
-                censuses.append(None)
+                cores.append(None)
                 notes.append(f"census skipped over {f.label()}: budget")
-        counts = {c.field.label(): c.count for c in censuses if c is not None}
+        counts = {f.label(): c[0].count for f, c in zip(fields, cores) if c is not None}
         indec = None
         end_dim = None
         if ft:
             expected = 1 if root else 0
-            for c in censuses:
+            for f, c in zip(fields, cores):
                 if c is None:
                     continue
-                n_ind = len(c.indecomposables) if d.d0 else _zero_row_indecomposables(d)
+                n_ind = _indecomposable_count(d, c[0])
                 if n_ind != expected:
                     ok = False
-                    failures.append(f"{d} over {c.field.label()}: {n_ind} "
+                    failures.append(f"{d} over {f.label()}: {n_ind} "
                                     f"indecomposables, expected {expected}")
             if len(set(counts.values())) > 1:
                 ok = False
@@ -743,8 +775,9 @@ def verify_main_theorem(poset: Poset, max_total: int,
                     (a, _), = d.values.items()
                     indec = special_T(poset, f, a)
                     end_dim = len(el_hom_basis(indec, indec))
-                elif censuses[0] is not None and censuses[0].indecomposables:
-                    indec = censuses[0].indecomposables[0]
+                elif cores[0] is not None and cores[0][0].indec_configs:
+                    core, order = cores[0]
+                    indec, = _lift_configs(poset, d.d0, f, order, core.indec_configs[:1])
                     end_dim = len(el_hom_basis(indec, indec))
                     rep_end = rep_end_dimension(rho(indec))
                     if rep_end != 1 or end_dim != 1:

@@ -414,16 +414,20 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
     n = len(elems)
     wt = {a: (weights.get(a, 0) if weights else 0) for a in elems}
 
-    inv = {
-        a: (wt[a], len(strict_lower_cone(p, a)), len(upper_cone(p, a)) - 1)
-        for a in elems
-    }
+    pairs = p.relation_pairs()
+    below: dict[str, list[str]] = {a: [] for a in elems}
+    above: dict[str, list[str]] = {a: [] for a in elems}
+    for a, b in pairs:
+        below[b].append(a)
+        above[a].append(b)
+
+    inv = {a: (wt[a], len(below[a]), len(above[a])) for a in elems}
     for _ in range(2):
         inv = {
             a: (
                 inv[a],
-                tuple(sorted(inv[b] for b in strict_lower_cone(p, a))),
-                tuple(sorted(inv[b] for b in upper_cone(p, a) if b != a)),
+                tuple(sorted(inv[b] for b in below[a])),
+                tuple(sorted(inv[b] for b in above[a])),
             )
             for a in elems
         }
@@ -439,7 +443,7 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in slots)):
         order = [a for part in perm_parts for a in part]
         pos = {a: i for i, a in enumerate(order)}
-        rels = tuple(sorted((pos[a], pos[b]) for a, b in p.relation_pairs()))
+        rels = tuple(sorted((pos[a], pos[b]) for a, b in pairs))
         key = (rels, tuple(wt[a] for a in order))
         if best is None or key < best:
             best = key

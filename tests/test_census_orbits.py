@@ -1,6 +1,8 @@
-"""Census orbits on arrays, checked against the per-tuple flood they replace."""
+"""Census orbits on arrays, checked against the per-tuple flood and the
+matrix-product generator action they replace."""
 
 import ast
+import math
 import pathlib
 import sys
 import threading
@@ -15,6 +17,24 @@ from conftest import all_dimensions, burnside_point_tuple_orbits
 
 F2, F3 = pr.GF(2), pr.GF(3)
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "posetrep"
+
+
+def generator_matrix(space, gidx):
+    """Generator gidx of space as an n x n matrix over F_p."""
+    i, j, r = space.generators[gidx]
+    g = [[int(a == b) for b in range(space.n)] for a in range(space.n)]
+    g[i][j] = r if i == j else 1
+    return g
+
+
+def matrix_apply_generator(space, gidx, sid):
+    """Reference oracle: the generator matrix applied to each echelon row of
+    the subspace by a full matrix product."""
+    g = generator_matrix(space, gidx)
+    n, p = space.n, space.p
+    rows = [tuple(sum(g[a][b] * row[b] for b in range(n)) % p for a in range(n))
+            for row in space.basis_rows(sid)]
+    return space._intern(space._rref(rows))
 
 
 def flood_representatives(configs, space):
@@ -57,12 +77,91 @@ def census_configs(poset, d, p):
     return classify._enumerate_configs(canon, dc, space, classify.DEFAULT_ENUM_BUDGET), space
 
 
+def cold():
+    """Empty the census caches, so the next census is computed afresh."""
+    classify._CENSUS_CACHE.clear()
+    classify._SPACES.clear()
+
+
 def antichain(m):
     return pr.build_poset([f"a{i}" for i in range(m)], [])
 
 
 def ones(m, n):
     return pr.DimensionVector(n, {f"a{i}": 1 for i in range(m)})
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                 (3, 1), (3, 2), (3, 3)])
+def test_column_operations_match_matrix_products(p, n):
+    space = classify.SubspaceSpace(p, n)
+    subspaces = [sid for k in range(n + 1) for sid in space.supersets(space.zero_id, k)]
+    # every subspace of F_p^n: the Gaussian binomials summed over k
+    assert len(subspaces) == {(2, 1): 2, (2, 2): 5, (2, 3): 16, (2, 4): 67,
+                              (3, 1): 2, (3, 2): 6, (3, 3): 28}[p, n]
+    for g in range(len(space.generators)):
+        for sid in subspaces:
+            assert space.apply_generator(g, sid) == matrix_apply_generator(space, g, sid), \
+                (space.generators[g], space.basis_rows(sid))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_generators_generate_gl(p, n):
+    space = classify.SubspaceSpace(p, n)
+    gens = [generator_matrix(space, g) for g in range(len(space.generators))]
+    identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = tuple(tuple(sum(g[a][c] * m[c][b] for c in range(n)) % p
+                                   for b in range(n)) for a in range(n))
+                if prod not in group:
+                    group.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    assert len(group) == math.prod(p ** n - p ** k for k in range(n))
+
+
+def test_count_readers_never_lift(a3, chain4, monkeypatch):
+    jobs = [(poset, d, f) for poset in (a3, chain4) for d in all_dimensions(poset, 5)
+            for f in (F2, F3)]
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a count reader lifted a configuration")
+
+    cold()
+    with monkeypatch.context() as m:
+        m.setattr(classify, "lift", no_lift)
+        counts = [(pr.count_iso_classes(*job), pr.el_indecomposable_count(*job))
+                  for job in jobs]
+    cold()
+    lifted = []
+    for poset, d, f in jobs:
+        census = pr.rep_iso_census(poset, d, f)
+        n_ind = len(census.indecomposables) if d.d0 else \
+            pr.el_indecomposable_count(poset, d, f)
+        lifted.append((census.count, n_ind))
+    assert counts == lifted
+    assert sum(n for _, n in counts) > 30
+
+
+def test_verify_lifts_only_first_field_roots(a3, monkeypatch):
+    calls = []
+    real_lift = classify.lift
+
+    def counting_lift(*args, **kwargs):
+        calls.append(args)
+        return real_lift(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "lift", counting_lift)
+    reports, failures = pr.verify_main_theorem(a3, 5, [F2, F3])
+    assert failures == []
+    roots = [r for r in reports if r.finite_type and r.is_root and r.dimension.d0]
+    assert roots and len(calls) == len(roots)
+    assert all(r.indecomposable is not None for r in roots)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -139,10 +238,6 @@ def test_census_threads_match_serial(a3, chain4):
 
     def summary(c):
         return c.count, len(c.indecomposables)
-
-    def cold():
-        classify._CENSUS_CACHE.clear()
-        classify._SPACES.clear()
 
     cold()
     serial = [summary(pr.rep_iso_census(*job)) for job in jobs]

@@ -37,6 +37,20 @@ def test_el_count_trivial_dimensions(a3):
     assert pr.el_indecomposable_count(a3, D(1), F2) == 1  # ambient-only element
 
 
+@pytest.mark.parametrize("d0", [0, 1])
+def test_census_entry_points_validate_alike(d0):
+    a2 = pr.build_poset(["a", "b"], [])
+    entry_points = (pr.rep_iso_census, pr.count_iso_classes, pr.el_indecomposable_count,
+                    pr.brute_force_indecomposables,
+                    lambda *args: pr.brute_force_indecomposables(*args, method="matrices"))
+    for entry in entry_points:
+        for bad in (D(d0, zzz=1), D(d0, a=1, zzz=2)):
+            with pytest.raises(pr.UnknownElement):
+                entry(a2, bad, F2)
+        with pytest.raises(pr.FieldTooRestrictive):
+            entry(a2, D(d0, a=1), pr.QQ)
+
+
 def test_brute_force_three_lines(a3):
     found = pr.brute_force_indecomposables(a3, D(2, x=1, y=1, z=1), F2)
     assert len(found) == 1

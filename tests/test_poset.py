@@ -7,12 +7,16 @@ import pytest
 import posetrep as pr
 from posetrep.poset import (
     all_antichains,
+    canonical_form,
     canonical_key,
     critical_posets,
     is_antichain,
     is_chain,
     order_embeddings,
 )
+
+from conftest import all_posets_upto
+
 
 def test_build_singleton():
     p = pr.build_poset(["x"], [])
@@ -224,6 +228,26 @@ def test_canonical_key_is_iso_invariant(a3):
     assert canonical_key(a3) == canonical_key(relabeled)
     chain = pr.build_poset(["p", "q", "r"], [("p", "q"), ("q", "r")])
     assert canonical_key(a3) != canonical_key(chain)
+    # every poset on at most 4 points, with nonconstant weights, under every
+    # relabelling that also reorders the element list
+    keys = set()
+    for p in all_posets_upto(4):
+        n = len(p)
+        weights = {a: i % 3 + 1 for i, a in enumerate(p.elements)}
+        key, order = canonical_form(p, weights)
+        assert sorted(order) == sorted(p.elements)
+        pos = {a: i for i, a in enumerate(order)}
+        assert key == (n, (tuple(sorted((pos[a], pos[b]) for a, b in p.relation_pairs())),
+                           tuple(weights[a] for a in order)))
+        for perm in itertools.permutations(range(n)):
+            name = {a: f"v{perm[i]}" for i, a in enumerate(p.elements)}
+            q = pr.Poset(sorted(name.values()),
+                         [(name[a], name[b]) for a, b in p.relation_pairs()])
+            q_key, q_order = canonical_form(q, {name[a]: w for a, w in weights.items()})
+            assert q_key == key, (p, perm)
+            assert sorted(q_order) == sorted(q.elements)
+        keys.add(key)
+    assert len(keys) == 1 + 2 + 5 + 16
 
 
 def test_poset_catalog_counts(poset_catalog):
