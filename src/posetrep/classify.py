@@ -36,7 +36,7 @@ from .errors import (
     NotFiniteType,
     ValidationError,
 )
-from .linalg import ExactMatrix, FieldSpec, env_budget
+from .linalg import ExactMatrix, FieldSpec, env_budget, rref
 from .poset import Poset, canonical_form, induced_subposet, maximal_elements
 from .reps import (
     MatrixRep,
@@ -81,12 +81,13 @@ def _primitive_root(p: int) -> int:
 class SubspaceSpace:
     """Interned subspaces of F_p^n with memoized span and GL-generator actions.
 
-    Vectors are encoded as base-p integers; a subspace is a canonical tuple
-    of reduced-echelon basis vectors.  Each GL generator is an elementary
-    column operation, so an image costs one operation per basis row and a
-    re-reduction.  The generator actions are kept as one table over the
-    subspace ids, row g holding the image of each id under generator g
-    (-1 where not yet computed).
+    Vectors are encoded as base-p integers; a subspace is the canonical
+    tuple of its reduced-echelon basis rows, which linalg.rref, the one
+    elimination kernel, returns for any spanning set.  Each GL generator is
+    an elementary column operation, so an image costs one operation per
+    basis row and a re-reduction.  The generator actions are kept as one
+    table over the subspace ids, row g holding the image of each id under
+    generator g (-1 where not yet computed).
     """
 
     def __init__(self, p: int, n: int):
@@ -120,33 +121,6 @@ class SubspaceSpace:
 
     # interning --------------------------------------------------------------
 
-    def _rref(self, rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-        p = self.p
-        work = [list(r) for r in rows]
-        out = []
-        pivots = []
-        r = 0
-        for c in range(self.n):
-            pr = None
-            for i in range(r, len(work)):
-                if work[i][c] % p:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            work[r], work[pr] = work[pr], work[r]
-            inv = pow(work[r][c], -1, p)
-            work[r] = [x * inv % p for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c] % p:
-                    f = work[i][c]
-                    work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return tuple(tuple(work[i]) for i in range(r))
-
     def _intern(self, rows: tuple[tuple[int, ...], ...]) -> int:
         sid = self._keys.get(rows)
         if sid is None:
@@ -154,6 +128,11 @@ class SubspaceSpace:
             self._keys[rows] = sid
             self._basis.append(rows)
         return sid
+
+    def _intern_span(self, rows: Iterable[Sequence[int]]) -> int:
+        """The id of the span of the given rows."""
+        reduced, _ = rref(rows, self.n, self.p)
+        return self._intern(tuple(map(tuple, reduced)))
 
     def basis_rows(self, sid: int) -> tuple[tuple[int, ...], ...]:
         return self._basis[sid]
@@ -164,28 +143,18 @@ class SubspaceSpace:
     def vectors(self, sid: int) -> frozenset:
         got = self._vectors.get(sid)
         if got is None:
-            members = {0}
-            for row in self._basis[sid]:
-                rv = self.tuple_vec(row)
-                fresh = set()
-                for c in range(1, self.p):
-                    scaled = self.tuple_vec(tuple(x * c % self.p for x in row))
-                    for m in members:
-                        mt = self.vec_tuple(m)
-                        st = self.vec_tuple(scaled)
-                        fresh.add(self.tuple_vec(
-                            tuple((x + y) % self.p for x, y in zip(mt, st))))
-                members |= fresh
-            got = frozenset(members)
-            self._vectors[sid] = got
+            rows = self._basis[sid]
+            got = self._vectors[sid] = frozenset(
+                self.tuple_vec([sum(c * x for c, x in zip(coeffs, col))
+                                for col in zip(*rows)])
+                for coeffs in itertools.product(range(self.p), repeat=len(rows)))
         return got
 
     def extend(self, sid: int, vec: int) -> int:
         key = (sid, vec)
         got = self._extend.get(key)
         if got is None:
-            rows = list(self._basis[sid]) + [self.vec_tuple(vec)]
-            got = self._intern(self._rref(rows))
+            got = self._intern_span(self._basis[sid] + (self.vec_tuple(vec),))
             self._extend[key] = got
         return got
 
@@ -241,7 +210,7 @@ class SubspaceSpace:
             row = list(row)
             row[i] = (row[i] + row[j]) % p if i != j else row[i] * r % p
             rows.append(row)
-        return self._intern(self._rref(rows))
+        return self._intern_span(rows)
 
     def generator_table(self, ids: np.ndarray) -> np.ndarray:
         """The (generators, ·) image table, filled in at least for the ids in

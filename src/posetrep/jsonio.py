@@ -7,6 +7,7 @@ so byte-for-byte comparisons of round-tripped files are meaningful.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .classify import ClassificationReport
@@ -20,6 +21,17 @@ from .tits import DimensionVector
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _json_object(obj: dict, key: str) -> dict:
+    got = obj.get(key) or {}
+    if not isinstance(got, dict):
+        raise ValidationError(f"{key!r} must be an object")
+    return got
 
 
 # -- posets ------------------------------------------------------------------
@@ -68,7 +80,7 @@ def dimension_from_json(obj, p: Poset) -> DimensionVector:
     d0 = 0
     values = {}
     for k, v in obj.items():
-        if not isinstance(v, int) or v < 0:
+        if not _is_count(v):
             raise ValidationError(f"dimension entry {k!r} must be a non-negative integer")
         if k == "0":
             d0 = v
@@ -111,6 +123,20 @@ def _entry_to_json(x, f: FieldSpec):
     return int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
+
+def _entry_from_json(x, f: FieldSpec):
+    """An integer or an "a/b" string, coerced into f."""
+    if (isinstance(x, int) and not isinstance(x, bool)) or (
+            isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        try:
+            return f.coerce(x)
+        except ZeroDivisionError:
+            pass
+    raise ValidationError(f"matrix entry {x!r} must be an integer or an 'a/b' string")
+
+
 def matrix_to_json(m: ExactMatrix) -> list:
     return [[_entry_to_json(x, m.field) for x in row] for row in m.data]
 
@@ -136,18 +162,22 @@ def rep_from_json(obj, p: Poset) -> MatrixRep:
         raise ValidationError("representation JSON must carry 'field', 'd0', 'blocks'")
     f = field_from_json(obj.get("field", {"p": 2}))
     d0 = obj["d0"]
-    if not isinstance(d0, int) or d0 < 0:
+    if not _is_count(d0):
         raise ValidationError("'d0' must be a non-negative integer")
     blocks = {}
-    for a, rows in (obj.get("blocks") or {}).items():
+    for a, rows in _json_object(obj, "blocks").items():
         p.check_element(a)
-        if not isinstance(rows, list) or len(rows) != d0:
-            raise ValidationError(f"block {a!r} must have {d0} rows")
-        blocks[a] = ExactMatrix.from_rows(f, rows) if rows else ExactMatrix.zeros(f, 0, 0)
-    for a, cols in (obj.get("block_cols") or {}).items():
+        if not isinstance(rows, list) or len(rows) != d0 or not all(
+                isinstance(row, list) for row in rows):
+            raise ValidationError(f"block {a!r} must be a list of {d0} rows")
+        entries = [[_entry_from_json(x, f) for x in row] for row in rows]
+        blocks[a] = ExactMatrix(f, d0, len(entries[0]) if entries else 0, entries)
+    for a, cols in _json_object(obj, "block_cols").items():
         p.check_element(a)
         if d0 != 0:
             raise ValidationError("'block_cols' only describes zero-row blocks")
+        if not _is_count(cols):
+            raise ValidationError(f"'block_cols' entry {a!r} must be a non-negative integer")
         blocks[a] = ExactMatrix.zeros(f, 0, cols)
     return MatrixRep(p, f, d0, blocks)
 
@@ -172,15 +202,33 @@ def derived_to_json(ctx: DerivedPoset) -> dict:
     }
 
 
+_PAIR_KEYS = ("element", "members", "prime", "second")
+
+
+def _pair_from_json(entry, base: Poset) -> PairMark:
+    """One adjoined pair: a label and two base members, marked prime and second."""
+    if not isinstance(entry, dict) or any(k not in entry for k in _PAIR_KEYS):
+        raise ValidationError(f"each derived pair must be an object with keys {_PAIR_KEYS}")
+    members, marked = entry["members"], [entry["prime"], entry["second"]]
+    if not (isinstance(members, list) and len(members) == 2
+            and all(isinstance(x, str) for x in [entry["element"], *members, *marked])
+            and sorted(set(members)) == sorted(marked)):
+        raise ValidationError(
+            f"derived pair {entry['element']!r} must mark its two members as prime and second")
+    for m in members:
+        base.check_element(m)
+    return PairMark(entry["element"], tuple(members), *marked)
+
+
 def derived_from_json(obj) -> DerivedPoset:
-    if not isinstance(obj, dict) or "base" not in obj or "pivot" not in obj:
+    if not isinstance(obj, dict) or any(k not in obj for k in ("base", "pivot", "derived")):
         raise ValidationError("derived-poset JSON must carry base, pivot, derived, pairs")
     base = poset_from_json(obj["base"])
     result = poset_from_json(obj["derived"])
-    pairs = []
-    for entry in obj.get("pairs", []):
-        members = tuple(entry["members"])
-        pairs.append(PairMark(entry["element"], members, entry["prime"], entry["second"]))
+    entries = obj.get("pairs", [])
+    if not isinstance(entries, list):
+        raise ValidationError("'pairs' must be a list")
+    pairs = [_pair_from_json(entry, base) for entry in entries]
     provenance = {}
     pair_labels = {pm.label: pm for pm in pairs}
     for x in result.elements:

@@ -2,7 +2,9 @@
 
 Matrices are immutable value objects.  Entries are kept canonical at all
 times: integers in [0, p) over a prime field, Fraction in lowest terms over
-the rationals.  There is no floating point anywhere in this module.
+the rationals.  There is no floating point anywhere in this module.  Every
+elimination goes through one Gauss-Jordan kernel, rref, which resolves the
+field once per call.
 """
 
 from __future__ import annotations
@@ -100,16 +102,45 @@ class FieldSpec:
     def neg(self, a):
         return (-a) % self.p if self.kind == "gf" else -a
 
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        return pow(a, -1, self.p) if self.kind == "gf" else Fraction(1) / a
 
-    def elements(self):
-        """All field elements; only available for prime fields."""
-        if self.kind != "gf":
-            raise ValidationError("cannot enumerate the rationals")
-        return range(self.p)
+def rref(rows: Iterable[Sequence], ncols: int, p: int | None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination: the nonzero rows of the reduced row echelon
+    form, and their pivot columns.
+
+    Entries are ints in [0, p) over GF(p), or Fractions when p is None.  The
+    reduced form is unique, so the result depends only on the row span; the
+    pivot columns are the columns not in the span of the columns before them.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        for k in range(r, len(work)):
+            if work[k][c]:
+                break
+        else:
+            continue
+        row = work[k]
+        work[k] = work[r]
+        a = row[c]
+        if a != 1:
+            if p is None:
+                row = [x / a for x in row]
+            else:
+                a = pow(a, -1, p)
+                row = [x * a % p for x in row]
+        work[r] = row
+        for i, other in enumerate(work):
+            f = other[c]
+            if f and i != r:
+                if p is None:
+                    work[i] = [x - f * y for x, y in zip(other, row)]
+                else:
+                    work[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
 
 
 def GF(p: int) -> FieldSpec:
@@ -276,39 +307,11 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
-        """Reduced row echelon form, pivot columns, rank.
-
-        Deterministic: the pivot in each column is the first row carrying a
-        nonzero entry among the remaining rows.
-        """
-        field = self.field
-        rows = [list(r) for r in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivot_row = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = field.inv(rows[r][c])
-            if inv != field.one():
-                rows[r] = [field.mul(inv, x) for x in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [
-                        field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-        return ExactMatrix(field, nrows, ncols, rows), tuple(pivots), r
+        """Reduced row echelon form, zero rows last; pivot columns; rank."""
+        rows, pivots = rref(self.data, self.cols, self.field.p)
+        zero = self.field.zero()
+        rows += [[zero] * self.cols] * (self.rows - len(rows))
+        return ExactMatrix(self.field, self.rows, self.cols, rows), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -410,25 +413,12 @@ def span_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def span_intersection(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Canonical basis of colspan(a) ∩ colspan(b)."""
-    if a.cols == 0 or b.cols == 0:
-        return ExactMatrix.zeros(a.field, a.rows, 0)
-    stacked = hstack([a, -b])
-    inter_cols = []
-    for vec in stacked.nullspace_basis():
-        x = vec[: a.cols]
-        col = [
-            sum((a.field.mul(a.data[i][j], x[j]) for j in range(a.cols)), a.field.zero())
-            for i in range(a.rows)
-        ]
-        if a.field.kind == "gf":
-            col = [c % a.field.p for c in col]
-        inter_cols.append(col)
-    if not inter_cols:
-        return ExactMatrix.zeros(a.field, a.rows, 0)
-    raw = ExactMatrix(a.field, a.rows, len(inter_cols),
-                      [tuple(c[i] for c in inter_cols) for i in range(a.rows)])
-    return column_space_basis(raw)
+    """Canonical basis of colspan(a) ∩ colspan(b): a·x over the solutions
+    of a·x = b·y."""
+    null = hstack([a, -b]).nullspace_basis() if a.cols and b.cols else []
+    x = ExactMatrix(a.field, a.cols, len(null),
+                    [tuple(v[j] for v in null) for j in range(a.cols)])
+    return column_space_basis(a @ x)
 
 
 def span_contains(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -436,10 +426,6 @@ def span_contains(a: ExactMatrix, b: ExactMatrix) -> bool:
     if b.cols == 0:
         return True
     return hstack([a, b]).rank() == a.rank()
-
-
-def spans_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return column_space_basis(a) == column_space_basis(b)
 
 
 def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
@@ -463,25 +449,11 @@ def complete_to_full_rank(m: ExactMatrix) -> ExactMatrix:
     """Greedy standard-basis completion.
 
     Returns C with independent columns such that rank [m | C] = rows(m) and
-    C has rows(m) - rank(m) columns.  Deterministic: standard basis vectors
-    are tried in index order.
+    C has rows(m) - rank(m) columns.  Deterministic: C holds each standard
+    basis vector outside the span of m and of the vectors before it, in
+    index order, which are the identity's pivot columns in rref([m | I]).
     """
-    field = m.field
-    r = m.rows
-    current = m
-    picked = []
-    rank = current.rank()
-    for i in range(r):
-        if rank == r:
-            break
-        e = [field.zero()] * r
-        e[i] = field.one()
-        cand = hstack([current, ExactMatrix.column(field, e)])
-        if cand.rank() > rank:
-            current = cand
-            rank += 1
-            picked.append(e)
-    if not picked:
-        return ExactMatrix.zeros(field, r, 0)
-    return ExactMatrix(field, r, len(picked),
-                       [tuple(p[i] for p in picked) for i in range(r)])
+    ident = ExactMatrix.identity(m.field, m.rows)
+    rows = [x + y for x, y in zip(m.data, ident.data)]
+    _, pivots = rref(rows, m.cols + m.rows, m.field.p)
+    return ident.take_columns(c - m.cols for c in pivots if c >= m.cols)

@@ -28,50 +28,12 @@ from .linalg import (
     column_space_basis,
     env_budget,
     hstack,
+    rref,
     solve_columns,
     span_contains,
 )
 from .poset import Poset, strict_lower_cone
 from .tits import DimensionVector
-
-
-class SpanTracker:
-    """Incremental row-echelon span for greedy independence tests."""
-
-    def __init__(self, field: FieldSpec, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows: list[tuple[int, list]] = []  # (pivot index, normalized row)
-
-    def _reduce(self, vec: list) -> list:
-        f = self.field
-        for pivot, row in self.rows:
-            c = vec[pivot]
-            if c:
-                vec = [f.sub(x, f.mul(c, y)) for x, y in zip(vec, row)]
-        return vec
-
-    def contains(self, vec: Sequence) -> bool:
-        vec = self._reduce(list(vec))
-        return not any(vec)
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec; True when it enlarged the span."""
-        f = self.field
-        vec = self._reduce(list(vec))
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = f.inv(vec[pivot])
-        if inv != f.one():
-            vec = [f.mul(inv, x) for x in vec]
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 # -- core containers ---------------------------------------------------------------
@@ -224,22 +186,23 @@ def rho(u: MatrixRep) -> SubspaceRep:
     return SubspaceRep(u.poset, u.field, u.d0, subs)
 
 
+def _independent_columns(below: ExactMatrix, block: ExactMatrix) -> ExactMatrix:
+    """The columns of block outside the span of below and of the block
+    columns before them: the block's pivot columns in rref([below | block])."""
+    rows = [x + y for x, y in zip(below.data, block.data)]
+    _, pivots = rref(rows, below.cols + block.cols, block.field.p)
+    return block.take_columns(c - below.cols for c in pivots if c >= below.cols)
+
+
 def lift(v: SubspaceRep) -> MatrixRep:
     """Canonical element with rho(lift(v)) = v.
 
-    Block a holds a greedy completion of Σ_{b≺a} V(b) to V(a), chosen from
-    the canonical basis columns of V(a) in index order.
+    Block a holds the canonical basis columns of V(a) that complete
+    Σ_{b≺a} V(b), greedily in index order: the pivot columns of V(a) in
+    rref([Σ_{b≺a} V(b) | V(a)]).
     """
-    blocks = {}
-    for a in v.poset.elements:
-        tracker = SpanTracker(v.field, v.ambient_dim)
-        for col in v.below_sum(a).columns():
-            tracker.add(col)
-        picked = [col for col in v.subspace(a).columns() if tracker.add(col)]
-        if picked:
-            blocks[a] = ExactMatrix(v.field, v.ambient_dim, len(picked),
-                                    [tuple(c[i] for c in picked)
-                                     for i in range(v.ambient_dim)])
+    blocks = {a: _independent_columns(v.below_sum(a), v.subspace(a))
+              for a in v.poset.elements}
     return MatrixRep(v.poset, v.field, v.ambient_dim, blocks)
 
 
@@ -527,21 +490,18 @@ def rep_end_dimension(v: SubspaceRep) -> int:
 def split_trivial_columns(u: MatrixRep) -> tuple[MatrixRep, dict[str, int]]:
     """Split off trivial summands: block columns dependent on the part below.
 
-    Returns the column-independent core and the multiset of split columns.
+    Block a keeps its pivot columns in rref([blocks strictly below a | M(a)]),
+    the same greedy choice lift makes.  Returns the column-independent core
+    and the multiset of split columns.
     """
     blocks = {}
     trivials: dict[str, int] = {}
     for a in u.poset.elements:
-        tracker = SpanTracker(u.field, u.d0)
-        for col in stacked_lower_blocks(u, a, strict=True).columns():
-            tracker.add(col)
-        kept = [col for col in u.blocks[a].columns() if tracker.add(col)]
-        dropped = u.cols(a) - len(kept)
+        blocks[a] = _independent_columns(stacked_lower_blocks(u, a, strict=True),
+                                         u.blocks[a])
+        dropped = u.cols(a) - blocks[a].cols
         if dropped:
             trivials[a] = dropped
-        if kept:
-            blocks[a] = ExactMatrix(u.field, u.d0, len(kept),
-                                    [tuple(c[i] for c in kept) for i in range(u.d0)])
     return MatrixRep(u.poset, u.field, u.d0, blocks), trivials
 
 
@@ -552,6 +512,17 @@ def _matrix_power_at_least(m: ExactMatrix, n: int) -> ExactMatrix:
         out = out @ out
         e *= 2
     return out
+
+
+def _combination(basis: list, coeffs):
+    """Σ c·b over the nonzero coefficients, or None when all are zero; for
+    ExactMatrix and ElMorphism alike."""
+    cand = None
+    for c, b in zip(coeffs, basis):
+        if c:
+            term = b.scale(c)
+            cand = term if cand is None else cand + term
+    return cand
 
 
 def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpec,
@@ -606,23 +577,14 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
     rng = random.Random(0xC0FFEE)
     if field.is_prime_field:
         for _ in range(64):
-            coeffs = [rng.randrange(field.p) for _ in basis]
-            cand = None
-            for c, b in zip(coeffs, basis):
-                if c:
-                    term = b.scale(c)
-                    cand = term if cand is None else cand + term
+            cand = _combination(basis, [rng.randrange(field.p) for _ in basis])
             if cand is not None:
                 e = inspect(cand)
                 if e is not None:
                     return e
         if field.p ** len(basis) <= budget:
             for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-                cand = None
-                for c, b in zip(coeffs, basis):
-                    if c:
-                        term = b.scale(c)
-                        cand = term if cand is None else cand + term
+                cand = _combination(basis, coeffs)
                 if cand is None or cand == ident:
                     continue
                 if cand @ cand == cand:
@@ -634,12 +596,7 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
         )
     # rationals: the heuristics above are all we attempt
     for _ in range(64):
-        coeffs = [rng.randrange(-3, 4) for _ in basis]
-        cand = None
-        for c, b in zip(coeffs, basis):
-            if c:
-                term = b.scale(c)
-                cand = term if cand is None else cand + term
+        cand = _combination(basis, [rng.randrange(-3, 4) for _ in basis])
         if cand is not None:
             e = inspect(cand)
             if e is not None:
@@ -720,15 +677,6 @@ def _identity_morphism(u: MatrixRep) -> ElMorphism:
         {(b, a): ExactMatrix.zeros(field, u.cols(b), u.cols(a))
          for a in p.elements for b in p.elements if p.lt(b, a)},
     )
-
-
-def _combination(hom: list[ElMorphism], coeffs) -> ElMorphism | None:
-    cand = None
-    for c, h in zip(coeffs, hom):
-        if c:
-            term = h.scale(c)
-            cand = term if cand is None else cand + term
-    return cand
 
 
 def are_isomorphic(u: MatrixRep, v: MatrixRep,

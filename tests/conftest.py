@@ -8,6 +8,7 @@ import random
 import pytest
 
 import posetrep as pr
+from posetrep.classify import _all_dimensions as all_dimensions  # noqa: F401
 from posetrep.poset import Poset, canonical_key
 
 
@@ -44,19 +45,6 @@ def _transitive(lt, size) -> bool:
                     if lt[j][k] and not lt[i][k]:
                         return False
     return True
-
-
-def all_dimensions(p: Poset, max_total: int):
-    slots = len(p.elements) + 1
-
-    def rec(i, rem, acc):
-        if i == slots:
-            yield pr.DimensionVector(acc[0], dict(zip(p.elements, acc[1:])))
-            return
-        for v in range(rem + 1):
-            yield from rec(i + 1, rem - v, acc + [v])
-
-    yield from rec(0, max_total, [])
 
 
 def random_element(poset: Poset, rng: random.Random, field=None,

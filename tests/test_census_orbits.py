@@ -12,6 +12,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import classify
+from posetrep.linalg import rref
 
 from conftest import all_dimensions, burnside_point_tuple_orbits
 
@@ -34,7 +35,8 @@ def matrix_apply_generator(space, gidx, sid):
     n, p = space.n, space.p
     rows = [tuple(sum(g[a][b] * row[b] for b in range(n)) % p for a in range(n))
             for row in space.basis_rows(sid)]
-    return space._intern(space._rref(rows))
+    reduced, _ = rref(rows, n, p)
+    return space._intern(tuple(map(tuple, reduced)))
 
 
 def flood_representatives(configs, space):

@@ -150,6 +150,41 @@ def test_validation_errors(tmp_path, capsys, a3_file):
     assert code == 2
 
 
+MALFORMED_REPS = {
+    "null entry": {"field": {"p": 2}, "d0": 1, "blocks": {"x": [[None]]}},
+    "string block_cols": {"field": {"p": 2}, "d0": 0, "block_cols": {"x": "2"}},
+    "word entry over Q": {"field": "Q", "d0": 1, "blocks": {"x": [["x"]]}},
+    "float entry": {"field": {"p": 2}, "d0": 1, "blocks": {"x": [[1.5]]}},
+    "zero denominator": {"field": "Q", "d0": 1, "blocks": {"x": [["1/0"]]}},
+    "row not a list": {"field": {"p": 2}, "d0": 1, "blocks": {"x": [1]}},
+}
+
+
+MALFORMED_PAIRS = {
+    "pair without members": lambda pair: pair.pop("members"),
+    "pair label a list": lambda pair: pair.update(element=["y", "z"]),
+    "pair with one member": lambda pair: pair.update(members=["y"]),
+    "prime not a member": lambda pair: pair.update(prime="x"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_REPS, *MALFORMED_PAIRS])
+def test_malformed_json_exits_2(tmp_path, capsys, a3, a3_file, case):
+    """Malformed input is a validation error (exit 2), never a traceback or
+    the exit 1 of a failed verification, and never silently misread."""
+    if case in MALFORMED_PAIRS:
+        derived = jsonio.derived_to_json(pr.derive_poset(a3, "x"))
+        MALFORMED_PAIRS[case](derived["pairs"][0])
+        rep = {"field": {"p": 2}, "d0": 1, "blocks": {"{y,z}": [[1]]}}
+        argv = ["integrate", "--derived", write(tmp_path, "sx.json", derived),
+                "--rep", write(tmp_path, "v.json", rep)]
+    else:
+        argv = ["decompose", "--poset", a3_file,
+                "--rep", write(tmp_path, "u.json", MALFORMED_REPS[case])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_exit_code(tmp_path, capsys, a3_file, monkeypatch):
     monkeypatch.setenv("POSETREP_BUDGET", "1")
     # a dimension no other test enumerates, so the census cache cannot mask it

@@ -11,6 +11,7 @@ from posetrep.linalg import (
     column_space_basis,
     complete_to_full_rank,
     hstack,
+    rref,
     solve_columns,
     span_contains,
     span_intersection,
@@ -168,3 +169,48 @@ def test_column_space_basis_canonical(m):
     assert basis.cols == m.rank()
     assert column_space_basis(basis) == basis
     assert span_contains(basis, m) and span_contains(m, basis)
+
+
+# -- the elimination kernel against brute-force enumeration over GF(2), GF(3)
+
+
+def span_of(vectors, p, n):
+    """Every linear combination of the vectors, by enumeration."""
+    span = {(0,) * n}
+    for v in vectors:
+        span = {tuple((x + c * y) % p for x, y in zip(s, v))
+                for s in span for c in range(p)}
+    return span
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix(fields=(F2, F3)))
+def test_rref_kernel_against_enumeration(m):
+    p, n = m.field.p, m.cols
+    rows, pivots = rref(m.data, n, p)
+    span = span_of(m.data, p, n)
+    # rank is log_p of the span size
+    assert p ** len(pivots) == len(span) and m.rank() == len(pivots)
+    assert span_of(rows, p, n) == span
+    # reduced echelon form: each row leads with a 1 at its pivot, the pivots
+    # increase, and every other row is zero in a pivot column
+    assert list(pivots) == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert all(0 <= x < p for x in row)
+        assert not any(row[:c]) and row[c] == 1
+        assert all(other[c] == 0 for k, other in enumerate(rows) if k != i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix(fields=(F2, F3)))
+def test_completion_picks_first_enlarging_standard_vectors(m):
+    p, n = m.field.p, m.rows
+    span = span_of(m.columns(), p, n)
+    expected = []
+    for i in range(n):
+        e = tuple(int(k == i) for k in range(n))
+        if e not in span:
+            expected.append(e)
+            span = span_of([*expected, *m.columns()], p, n)
+    assert complete_to_full_rank(m).columns() == expected
+    assert p ** n == len(span)

@@ -90,6 +90,16 @@ def test_scan_examples(a4, a3):
     assert not bad
 
 
+def test_scan_with_entries_past_999(a3, a4):
+    """Entries of 1000 and more take the same exact int64 scan."""
+    cases = [(a3, D(1000, x=1, y=1, z=1)), (a4, D(2, w=1000, x=1, y=1, z=1)),
+             (pr.build_poset(["a"], []), D(0, a=1500))]
+    for p, d in cases:
+        assert pr.finite_type_scan(p, d) == pr.is_finite_type(p, d)
+    assert pr.finite_type_scan(a3, D(1000, x=1, y=1, z=1))
+    assert not pr.finite_type_scan(a4, D(2, w=1000, x=1, y=1, z=1))
+
+
 def test_scan_budget(a4):
     with pytest.raises(pr.BudgetExceeded):
         pr.finite_type_scan(a4, D(100, w=100, x=100, y=100, z=100), budget=1000)
