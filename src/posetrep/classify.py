@@ -10,7 +10,7 @@ of numbers and configurations: count_iso_classes, el_indecomposable_count
 and the verification harness's counts read the core, and only
 rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
-derive/recurse/integrate induction with a brute-force fallback.
+derive/recurse/integrate induction alone.
 
 The census caches may be filled from several threads: one lock covers
 space creation, census computation (with the generator tables it grows)
@@ -36,7 +36,7 @@ from .errors import (
     NotFiniteType,
     ValidationError,
 )
-from .linalg import ExactMatrix, FieldSpec, env_budget, rref
+from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref
 from .poset import Poset, canonical_form, induced_subposet, maximal_elements
 from .reps import (
     MatrixRep,
@@ -45,7 +45,6 @@ from .reps import (
     are_isomorphic,
     dimension_of,
     el_hom_basis,
-    is_indecomposable,
     lift,
     rep_end_dimension,
     rep_hom_basis,
@@ -445,8 +444,7 @@ def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
     """
     if not field.is_prime_field:
         raise FieldTooRestrictive("class counting requires a finite prime field")
-    if budget is None:
-        budget = env_budget(DEFAULT_ENUM_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     for a in d.support():
         poset.check_element(a)
     if d.d0 == 0:
@@ -523,86 +521,55 @@ def _indecomposable_count(d: DimensionVector, core: _CensusCore) -> int:
 
 
 def brute_force_indecomposables(poset: Poset, d: DimensionVector, field: FieldSpec,
-                                method: str = "auto",
                                 budget: int | None = None) -> list[MatrixRep]:
     """Complete pairwise non-isomorphic list of indecomposables of dimension d.
 
-    method="matrices" enumerates every block matrix, filters those realizing
-    d as a representation dimension, and buckets by are_isomorphic: the
-    stated desk-scale oracle.  The default enumerates subspace configurations
-    instead, which produces the same classes far faster; a dedicated test
-    cross-checks the two routes.
+    Reads the census of d and lifts each indecomposable configuration to an
+    element.  Elements with zero rows decompose into trivial summands, so for
+    d0 = 0 the only indecomposable is a single trivial element.  The tests
+    cross-check this against the enumeration of every block matrix.
     """
-    if not field.is_prime_field:
-        raise FieldTooRestrictive("brute force requires a finite prime field")
-    if budget is None:
-        budget = env_budget(DEFAULT_ENUM_BUDGET)
-    if method not in ("auto", "configurations", "matrices"):
-        raise ValidationError(f"unknown method {method!r}")
-    for a in d.support():
-        poset.check_element(a)
+    core, order = _census_lookup(poset, d, field, budget)
     if d.d0 == 0:
-        # zero-row elements decompose into trivial summands; the only
-        # indecomposable of such a dimension is a single trivial element
-        vals = dict(d.values)
-        if sorted(vals.values()) == [1]:
-            (a, _), = vals.items()
-            return [special_T(poset, field, a)]
-        return []
-    if method in ("auto", "configurations"):
-        return list(rep_iso_census(poset, d, field, budget).indecomposables)
-    total_cols = sum(d.get(a) for a in poset.elements)
-    size = field.p ** (d.d0 * total_cols)
-    if size > budget:
-        raise BudgetExceeded(
-            f"{size} block matrices exceed the enumeration budget {budget}")
-    reps: list[MatrixRep] = []
-    for entries in itertools.product(range(field.p), repeat=d.d0 * total_cols):
-        blocks = {}
-        offset = 0
-        for a in poset.elements:
-            c = d.get(a)
-            rows = [entries[offset + i * c: offset + (i + 1) * c]
-                    for i in range(d.d0)]
-            blocks[a] = ExactMatrix(field, d.d0, c, rows)
-            offset += d.d0 * c
-        u = MatrixRep(poset, field, d.d0, blocks)
-        if rho(u).dimension_vector() != d:
-            continue
-        if any(are_isomorphic(u, v) is not None for v in reps):
-            continue
-        reps.append(u)
-    return [u for u in reps if is_indecomposable(u)]
+        if not _indecomposable_count(d, core):
+            return []
+        (a,) = d.support()
+        return [special_T(poset, field, a)]
+    return list(_lift_configs(poset, d.d0, field, order, core.indec_configs))
 
 
 # -- construction -----------------------------------------------------------------
 
 
-def construct_indecomposable(poset: Poset, d: DimensionVector, field: FieldSpec,
-                             fallback: str = "allow") -> MatrixRep | None:
+def construct_indecomposable(poset: Poset, d: DimensionVector,
+                             field: FieldSpec) -> MatrixRep | None:
     """The unique indecomposable of a finite-type root dimension, or None.
 
-    Restricts to the support, then either emits an explicit small element or
-    recurses through a derivation pivot: enumerate subordinate root
-    dimensions, construct there, integrate back, and keep the first result
-    of the right dimension.  fallback="forbid" raises ConstructionFailed
-    instead of falling back to brute force.
+    Raises NotFiniteType when d dominates a critical dimension and returns
+    None when Q(d) != 1.  A root is built by the derive/recurse/integrate
+    induction alone, which the main theorem guarantees for every finite-type
+    root: restrict to the support, emit the explicit element when d0 <= 1,
+    and otherwise try each maximal pivot in order, constructing each
+    subordinate finite-type root on the derived poset, integrating it back
+    and keeping the first result of dimension d.  Raises ConstructionFailed
+    when no pivot gives a route.
     """
-    if fallback not in ("allow", "forbid"):
-        raise ValidationError(f"unknown fallback mode {fallback!r}")
     if not is_finite_type(poset, d):
         raise NotFiniteType(f"{d} dominates a critical dimension")
     if tits_value(poset, d) != 1:
         return None
+    return _construct_root(poset, d, field)
+
+
+def _construct_root(poset: Poset, d: DimensionVector, field: FieldSpec) -> MatrixRep:
+    """The indecomposable of the finite-type root d, built on its support."""
     supp = poset.sorted_subset(d.support())
     sub = induced_subposet(poset, supp)
-    ds = d.restrict(supp)
-    u = _construct_sincere(sub, ds, field, fallback)
+    u = _construct_sincere(sub, d.restrict(supp), field)
     return MatrixRep(poset, field, u.d0, {a: u.blocks[a] for a in sub.elements})
 
 
-def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec,
-                       fallback: str) -> MatrixRep:
+def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec) -> MatrixRep:
     if d.d0 == 0:
         items = list(d.values.items())
         if len(items) != 1 or items[0][1] != 1:
@@ -618,30 +585,16 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec,
             continue
         context = derive_poset(poset, a)
         derived = context.result
-        for dprime in subordinate_dimensions(poset, a, d):
+        for dprime in subordinate_dimensions(context, d):
             if dprime.total() >= d.total():
                 raise InvariantViolated(f"subordinate dimension {dprime} is not below {d}")
-            if tits_value(derived, dprime) != 1:
+            if tits_value(derived, dprime) != 1 or not is_finite_type(derived, dprime):
                 continue
-            if not is_finite_type(derived, dprime):
-                continue
-            inner = construct_indecomposable(derived, dprime, field, fallback)
-            if inner is None:
-                continue
-            candidate = integrate(inner, context)
+            candidate = integrate(_construct_root(derived, dprime, field), context)
             if dimension_of(candidate) == d:
                 return candidate
-    if fallback == "forbid":
-        raise ConstructionFailed(
-            f"recursive construction found no route to {d} on {poset.elements}")
-    if not field.is_prime_field:
-        raise FieldTooRestrictive(
-            "construction over the rationals needed the enumeration fallback")
-    found = brute_force_indecomposables(poset, d, field)
-    if len(found) != 1:
-        raise InvariantViolated(
-            f"finite-type root {d} has {len(found)} indecomposables, not one")
-    return found[0]
+    raise ConstructionFailed(
+        f"recursive construction found no route to {d} on {poset.elements}")
 
 
 # -- the verification harness --------------------------------------------------------
@@ -692,10 +645,13 @@ def verify_main_theorem(poset: Poset, max_total: int,
     with a note when the subvector grid of d exceeds the scan budget.  One
     cached census core per field serves the class and indecomposable
     counts; only the first field's indecomposable of a root is lifted, for
-    the endomorphism and construction checks.
+    the endomorphism and construction checks.  A negative max_total or an
+    empty field list raises ValidationError.
     """
     fields = list(fields)
-    scan_budget = env_budget(DEFAULT_SCAN_BUDGET) if budget is None else budget
+    if max_total < 0 or not fields:
+        raise ValidationError("verification needs max_total >= 0 and at least one field")
+    scan_budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
     positive: dict[tuple[int, ...], bool] = {}
     reports = []
     failures: list[str] = []

@@ -101,7 +101,7 @@ def cmd_differentiate(args) -> int:
     poset = _load_poset(args)
     u = jsonio.rep_from_json(_read_json(args.rep), poset)
     ctx = derive_poset(poset, args.pivot)
-    derived = differentiate(rho(u), args.pivot, ctx, pair_rule=args.pair_rule)
+    derived = differentiate(rho(u), args.pivot, ctx)
     _write_output(
         {"derived": jsonio.derived_to_json(ctx), "rep": jsonio.rep_to_json(lift(derived))},
         args.out,
@@ -198,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--poset": dict(required=True), "--pivot": dict(required=True)})
     add("differentiate", cmd_differentiate,
         **{"--poset": dict(required=True), "--pivot": dict(required=True),
-           "--rep": dict(required=True),
-           "--pair-rule": dict(default="sum", choices=["sum", "intersection"],
-                               dest="pair_rule")})
+           "--rep": dict(required=True)})
     add("integrate", cmd_integrate,
         **{"--derived": dict(required=True), "--rep": dict(required=True)})
     add("construct", cmd_construct,

@@ -58,12 +58,6 @@ class DerivedPoset:
     result: Poset
     provenance: Mapping[str, tuple]
 
-    def pair_for(self, label: str) -> PairMark:
-        for pm in self.pairs:
-            if pm.label == label:
-                return pm
-        raise ValidationError(f"{label!r} is not a pair element")
-
 
 def derive_poset(p: Poset, a: str) -> DerivedPoset:
     """The derived poset: Θ(a)-pairs adjoined, a removed.
@@ -111,16 +105,13 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
     return DerivedPoset(p, a, tuple(marks), result, provenance)
 
 
-def differentiate(v: SubspaceRep, a: str, context: DerivedPoset | None = None,
-                  pair_rule: str = "sum") -> SubspaceRep:
+def differentiate(v: SubspaceRep, a: str,
+                  context: DerivedPoset | None = None) -> SubspaceRep:
     """Derived representation on S^a, with ambient space V(a).
 
-    pair_rule picks the value at an adjoined pair q = {b, c}:
-    "sum" (default) uses (V(b)+V(c)) ∩ V(a); "intersection" uses
-    V(b) ∩ V(c) ∩ V(a), which can fail to be order preserving.
+    An adjoined pair q = {b, c} takes (V(b)+V(c)) ∩ V(a).  The literal
+    reading V(b) ∩ V(c) ∩ V(a) can fail to be order preserving.
     """
-    if pair_rule not in ("sum", "intersection"):
-        raise ValidationError(f"unknown pair_rule {pair_rule!r}")
     p = v.poset
     if context is None:
         context = derive_poset(p, a)
@@ -143,11 +134,7 @@ def differentiate(v: SubspaceRep, a: str, context: DerivedPoset | None = None,
             subs[x] = in_pivot_coords(v.subspace(payload))
         else:
             b, c = payload
-            if pair_rule == "sum":
-                combined = span_sum(v.subspace(b), v.subspace(c))
-            else:
-                combined = span_intersection(v.subspace(b), v.subspace(c))
-            subs[x] = in_pivot_coords(combined)
+            subs[x] = in_pivot_coords(span_sum(v.subspace(b), v.subspace(c)))
     return SubspaceRep(context.result, field, Va.cols, subs)
 
 
@@ -229,13 +216,15 @@ def dstar(dprime: DimensionVector, context: DerivedPoset, da: int) -> DimensionV
     return DimensionVector(dprime.d0 + pair_sum, values)
 
 
-def subordinate_dimensions(p: Poset, a: str, d: DimensionVector) -> list[DimensionVector]:
-    """All dimensions over S^a whose integration can have dimension d.
+def subordinate_dimensions(context: DerivedPoset,
+                           d: DimensionVector) -> list[DimensionVector]:
+    """All dimensions over the derived poset whose integration can have
+    dimension d.
 
     The pivot value d(a) is forced to be the completion count, which pins the
     feasibility window for the rank of the blocks below a.
     """
-    context = derive_poset(p, a)
+    p, a = context.base, context.pivot
     delta_prime = strict_lower_cone(p, a)
     theta = [b for b in p.elements if b in incomparables(p, a)]
     pairs = list(context.pairs)

@@ -38,7 +38,7 @@ class NotFiniteType(PosetRepError):
 
 
 class FieldTooRestrictive(PosetRepError):
-    """The requested field does not support the enumeration fallback."""
+    """An enumeration was requested over a field that is not a finite prime field."""
 
 
 class BudgetExceeded(PosetRepError):
@@ -50,7 +50,7 @@ class UndecidableAtBudget(PosetRepError):
 
 
 class ConstructionFailed(PosetRepError):
-    """Recursive construction failed and the brute-force fallback was disabled."""
+    """Recursive construction found no pivot route to a finite-type root."""
 
 
 class InvariantViolated(PosetRepError):

@@ -19,15 +19,17 @@ from .errors import FieldMismatch, ValidationError
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
-def env_budget(default: int) -> int:
-    """Enumeration budget, overridable through POSETREP_BUDGET."""
-    raw = os.environ.get("POSETREP_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"POSETREP_BUDGET must be an integer, got {raw!r}") from exc
+def resolve_budget(budget: int | None, default: int) -> int:
+    """The caller's budget, else POSETREP_BUDGET, else default; never negative."""
+    if budget is None:
+        raw = os.environ.get("POSETREP_BUDGET", default)
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ValidationError(f"POSETREP_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise ValidationError(f"budgets must be non-negative, got {budget}")
+    return budget
 
 
 def is_prime(n: int) -> bool:

@@ -130,10 +130,6 @@ def maximal_elements(p: Poset) -> set[str]:
     return {a for a in p.elements if not any(p.lt(a, b) for b in p.elements)}
 
 
-def minimal_elements(p: Poset) -> set[str]:
-    return {a for a in p.elements if not any(p.lt(b, a) for b in p.elements)}
-
-
 def lower_cone(p: Poset, a: str) -> set[str]:
     p.check_element(a)
     return {b for b in p.elements if p.le(b, a)}
@@ -141,11 +137,6 @@ def lower_cone(p: Poset, a: str) -> set[str]:
 
 def strict_lower_cone(p: Poset, a: str) -> set[str]:
     return lower_cone(p, a) - {a}
-
-
-def upper_cone(p: Poset, a: str) -> set[str]:
-    p.check_element(a)
-    return {b for b in p.elements if p.le(a, b)}
 
 
 def incomparables(p: Poset, a: str) -> set[str]:
@@ -453,7 +444,3 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
 
 def canonical_key(p: Poset, weights: Mapping[str, int] | None = None):
     return canonical_form(p, weights)[0]
-
-
-def are_isomorphic_posets(p: Poset, q: Poset) -> bool:
-    return len(p) == len(q) and canonical_key(p) == canonical_key(q)

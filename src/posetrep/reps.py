@@ -26,8 +26,8 @@ from .linalg import (
     FieldSpec,
     block_diag,
     column_space_basis,
-    env_budget,
     hstack,
+    resolve_budget,
     rref,
     solve_columns,
     span_contains,
@@ -533,8 +533,7 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
     random combinations, using Fitting decompositions; finish with exhaustive
     enumeration when the algebra is small enough, otherwise give up loudly.
     """
-    if budget is None:
-        budget = env_budget(DEFAULT_SEARCH_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if n == 0 or len(basis) <= 1:
         return None
     ident = ExactMatrix.identity(field, n)
@@ -635,9 +634,6 @@ class Decomposition:
     pieces: tuple[MatrixRep, ...]
     trivials: Mapping[str, int]
 
-    def piece_dimensions(self) -> list[DimensionVector]:
-        return [dimension_of(p) for p in self.pieces]
-
 
 def decompose(u: MatrixRep, budget: int | None = None) -> Decomposition:
     """Krull-Schmidt decomposition; trivial summands are reported separately."""
@@ -686,8 +682,7 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
     Invertibility of a morphism means all diagonal components (including the
     ambient one) are invertible; the triangular parts never obstruct.
     """
-    if budget is None:
-        budget = env_budget(DEFAULT_SEARCH_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if u.poset != v.poset or u.field != v.field:
         return None
     if dimension_of(u) != dimension_of(v):

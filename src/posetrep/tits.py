@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceeded, UnknownElement
-from .linalg import env_budget
+from .linalg import resolve_budget
 from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings
 
 DEFAULT_SCAN_BUDGET = 10_000_000
@@ -175,8 +175,7 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
     arithmetic.  Raises BudgetExceeded when the grid is too large.
     """
     _check_dimension(p, d)
-    if budget is None:
-        budget = env_budget(DEFAULT_SCAN_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
     elems = p.elements
     bounds = [d.d0] + [d.get(a) for a in elems]
     count = 1

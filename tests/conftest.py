@@ -60,6 +60,38 @@ def random_element(poset: Poset, rng: random.Random, field=None,
     return pr.MatrixRep(poset, field, d0, blocks)
 
 
+def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
+                           field) -> list[pr.MatrixRep]:
+    """Reference oracle for brute_force_indecomposables: enumerate every block
+    matrix, keep those realizing d as a representation dimension, bucket them
+    by are_isomorphic and keep the indecomposable classes.  Zero-row elements
+    decompose into trivial summands, so at d0 = 0 the only indecomposable is a
+    single trivial element."""
+    if d.d0 == 0:
+        vals = dict(d.values)
+        if sorted(vals.values()) == [1]:
+            (a, _), = vals.items()
+            return [pr.special_T(poset, field, a)]
+        return []
+    total_cols = sum(d.get(a) for a in poset.elements)
+    reps: list[pr.MatrixRep] = []
+    for entries in itertools.product(range(field.p), repeat=d.d0 * total_cols):
+        blocks = {}
+        offset = 0
+        for a in poset.elements:
+            c = d.get(a)
+            rows = [entries[offset + i * c: offset + (i + 1) * c] for i in range(d.d0)]
+            blocks[a] = pr.ExactMatrix(field, d.d0, c, rows)
+            offset += d.d0 * c
+        u = pr.MatrixRep(poset, field, d.d0, blocks)
+        if pr.rho(u).dimension_vector() != d:
+            continue
+        if any(pr.are_isomorphic(u, v) is not None for v in reps):
+            continue
+        reps.append(u)
+    return [u for u in reps if pr.is_indecomposable(u)]
+
+
 def burnside_point_tuple_orbits(p: int, n: int, m: int) -> int:
     """Orbit count of GL_n(F_p) on m-tuples of points of P^{n-1}(F_p), by
     Burnside's lemma: the mean over the group of (fixed points)^m."""

@@ -43,7 +43,7 @@ def criterion3_posets(kposet):
     chain4 = pr.build_poset(["a", "b", "c", "d"],
                             [("a", "b"), ("b", "c"), ("c", "d")])
     p112 = pr.primitive_poset(1, 1, 2)
-    return {"no_fallback": [a3, chain4, p112], "fallback_ok": subs}
+    return [a3, chain4, p112] + subs
 
 
 @pytest.fixture(scope="module")
@@ -52,41 +52,39 @@ def criterion3_sweep(criterion3_posets):
     data = {
         "checks": 0,
         "failures": [],
-        "roots": [],            # (poset, d, fallback_allowed)
+        "roots": [],            # (poset, d)
         "sincere": [],          # (poset, d, field, element)
         "elapsed": 0.0,
     }
     t0 = time.time()
-    for group, posets in (("no_fallback", criterion3_posets["no_fallback"]),
-                          ("fallback_ok", criterion3_posets["fallback_ok"])):
-        for poset in posets:
-            assert pr.critical_subposet_embeddings(poset) == []
-            full = set(poset.elements)
-            for d in all_dimensions(poset, 7):
-                assert pr.is_finite_type(poset, d)
-                q = pr.tits_value(poset, d)
-                expected = 1 if q == 1 else 0
-                for field in (F2, F3):
-                    n = pr.el_indecomposable_count(poset, d, field)
-                    data["checks"] += 1
-                    if n != expected:
+    for poset in criterion3_posets:
+        assert pr.critical_subposet_embeddings(poset) == []
+        full = set(poset.elements)
+        for d in all_dimensions(poset, 7):
+            assert pr.is_finite_type(poset, d)
+            q = pr.tits_value(poset, d)
+            expected = 1 if q == 1 else 0
+            for field in (F2, F3):
+                n = pr.el_indecomposable_count(poset, d, field)
+                data["checks"] += 1
+                if n != expected:
+                    data["failures"].append(
+                        f"{poset.elements} {d} {field.label()}: "
+                        f"{n} indecomposables, Q={q}")
+                    continue
+                if expected and d.d0 > 0:
+                    census = pr.rep_iso_census(poset, d, field)
+                    u = census.indecomposables[0]
+                    el_end = pr.end_dimension(u)
+                    rep_end = rep_end_dimension(pr.rho(u))
+                    if el_end != 1 or rep_end != 1:
                         data["failures"].append(
                             f"{poset.elements} {d} {field.label()}: "
-                            f"{n} indecomposables, Q={q}")
-                        continue
-                    if expected and d.d0 > 0:
-                        census = pr.rep_iso_census(poset, d, field)
-                        u = census.indecomposables[0]
-                        el_end = pr.end_dimension(u)
-                        rep_end = rep_end_dimension(pr.rho(u))
-                        if el_end != 1 or rep_end != 1:
-                            data["failures"].append(
-                                f"{poset.elements} {d} {field.label()}: "
-                                f"End dims el={el_end} rep={rep_end}")
-                        if d.support() == full and d.d0 > 0:
-                            data["sincere"].append((poset, d, field, u))
-                if expected:
-                    data["roots"].append((poset, d, group == "fallback_ok"))
+                            f"End dims el={el_end} rep={rep_end}")
+                    if d.support() == full and d.d0 > 0:
+                        data["sincere"].append((poset, d, field, u))
+            if expected:
+                data["roots"].append((poset, d))
     data["elapsed"] = time.time() - t0
     return data
 
@@ -244,12 +242,11 @@ def test_criterion_9_constructor_agreement(criterion3_sweep):
     t0 = time.time()
     failures = []
     built_count = 0
-    for poset, d, fallback_allowed in criterion3_sweep["roots"]:
-        mode = "allow" if fallback_allowed else "forbid"
+    for poset, d in criterion3_sweep["roots"]:
         try:
-            built = pr.construct_indecomposable(poset, d, F2, fallback=mode)
+            built = pr.construct_indecomposable(poset, d, F2)
         except pr.ConstructionFailed:
-            failures.append(f"fallback required on {poset.elements} at {d}")
+            failures.append(f"no recursive route on {poset.elements} at {d}")
             continue
         if built is None:
             failures.append(f"constructor returned nothing at root {d}")

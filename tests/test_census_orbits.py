@@ -232,22 +232,33 @@ def test_antichain_census_at_d0_three(p, expected):
 
 
 def test_census_threads_match_serial(a3, chain4):
-    # four threads run every census from cold caches, two from the start of
-    # the list and two from its middle, so pairs race on the same census
-    # while the pairs share spaces
-    jobs = [(poset, d, f) for poset in (a3, chain4) for d in all_dimensions(poset, 5)
-            for f in (F2, F3)]
+    # four threads run every census and construct every root from cold
+    # caches, two from the start of the list and two from its middle, so
+    # pairs race on the same census while the pairs share spaces and posets
+    censuses = [(poset, d, f) for poset in (a3, chain4) for d in all_dimensions(poset, 5)
+                for f in (F2, F3)]
+    roots = [(poset, d, f) for poset, d, f in censuses
+             if pr.is_finite_type(poset, d) and pr.tits_value(poset, d) == 1]
 
     def summary(c):
         return c.count, len(c.indecomposables)
 
-    cold()
-    serial = [summary(pr.rep_iso_census(*job)) for job in jobs]
+    jobs = [lambda job=job: summary(pr.rep_iso_census(*job)) for job in censuses]
+    jobs += [lambda job=job: pr.construct_indecomposable(*job) for job in roots]
+
+    def cold_posets():
+        cold()
+        a3._cache.clear()
+        chain4._cache.clear()
+
+    cold_posets()
+    serial = [job() for job in jobs]
+    assert sum(u is not None for u in serial[len(censuses):]) == len(roots) > 30
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            cold()
+            cold_posets()
             results = [[None] * len(jobs) for _ in range(4)]
             errors = []
 
@@ -255,7 +266,7 @@ def test_census_threads_match_serial(a3, chain4):
                 try:
                     for j in range(len(jobs)):
                         i = (j + k // 2 * len(jobs) // 2) % len(jobs)
-                        results[k][i] = summary(pr.rep_iso_census(*jobs[i]))
+                        results[k][i] = jobs[i]()
                 except Exception as exc:  # reported through the assertion below
                     errors.append(exc)
 
@@ -272,13 +283,16 @@ def test_census_threads_match_serial(a3, chain4):
 
 
 def test_broken_invariant_raises(a3, monkeypatch):
-    # no pivot, and a fallback that finds no indecomposable of a root: the
+    # a root with no pivot, or with a subordinate dimension not below it: the
     # construction must raise, even under python -O
-    monkeypatch.setattr(classify, "maximal_elements", lambda poset: [])
-    monkeypatch.setattr(classify, "brute_force_indecomposables", lambda *a, **k: [])
+    d = pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1})
+    with monkeypatch.context() as m:
+        m.setattr(classify, "maximal_elements", lambda poset: [])
+        with pytest.raises(pr.ConstructionFailed):
+            pr.construct_indecomposable(a3, d, F2)
+    monkeypatch.setattr(classify, "subordinate_dimensions", lambda context, dim: [dim])
     with pytest.raises(pr.InvariantViolated):
-        classify._construct_sincere(a3, pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1}),
-                                    F2, "allow")
+        pr.construct_indecomposable(a3, d, F2)
 
 
 def test_library_has_no_assert_statements():

@@ -5,7 +5,7 @@ import pytest
 import posetrep as pr
 from posetrep import classify
 
-from conftest import all_dimensions
+from conftest import all_dimensions, matrix_indecomposables
 
 F2, F3 = pr.GF(2), pr.GF(3)
 
@@ -41,8 +41,7 @@ def test_el_count_trivial_dimensions(a3):
 def test_census_entry_points_validate_alike(d0):
     a2 = pr.build_poset(["a", "b"], [])
     entry_points = (pr.rep_iso_census, pr.count_iso_classes, pr.el_indecomposable_count,
-                    pr.brute_force_indecomposables,
-                    lambda *args: pr.brute_force_indecomposables(*args, method="matrices"))
+                    pr.brute_force_indecomposables)
     for entry in entry_points:
         for bad in (D(d0, zzz=1), D(d0, a=1, zzz=2)):
             with pytest.raises(pr.UnknownElement):
@@ -71,8 +70,8 @@ def test_brute_force_methods_agree(a3, chain4):
                     cases.append((p, d, f))
     assert len(cases) > 100
     for p, d, f in cases:
-        slow = pr.brute_force_indecomposables(p, d, f, method="matrices")
-        fast = pr.brute_force_indecomposables(p, d, f, method="configurations")
+        slow = matrix_indecomposables(p, d, f)
+        fast = pr.brute_force_indecomposables(p, d, f)
         assert len(slow) == len(fast), (p.elements, d, f.label())
         remaining = list(fast)
         for u in slow:
@@ -80,12 +79,6 @@ def test_brute_force_methods_agree(a3, chain4):
                        if pr.are_isomorphic(u, v) is not None)
             remaining.pop(idx)
         assert not remaining
-
-
-def test_brute_force_budget(a3):
-    with pytest.raises(pr.BudgetExceeded):
-        pr.brute_force_indecomposables(a3, D(4, x=4, y=4, z=4), F3,
-                                       method="matrices", budget=100)
 
 
 def test_census_cache_respects_budget(a4):
@@ -102,7 +95,7 @@ def test_brute_force_rejects_rationals(a3):
 
 
 def test_construct_three_lines(a3):
-    u = pr.construct_indecomposable(a3, D(2, x=1, y=1, z=1), F2, fallback="forbid")
+    u = pr.construct_indecomposable(a3, D(2, x=1, y=1, z=1), F2)
     assert u.blocks["x"].data == ((1,), (0,))
     assert u.blocks["y"].data == ((0,), (1,))
     assert u.blocks["z"].data == ((1,), (1,))
@@ -110,7 +103,7 @@ def test_construct_three_lines(a3):
 
 
 def test_construct_over_rationals(a3):
-    u = pr.construct_indecomposable(a3, D(2, x=1, y=1, z=1), pr.QQ, fallback="forbid")
+    u = pr.construct_indecomposable(a3, D(2, x=1, y=1, z=1), pr.QQ)
     assert u.field == pr.QQ
     assert pr.end_dimension(u) == 1
 
@@ -127,12 +120,32 @@ def test_construct_non_root_returns_none(a3):
 
 def test_construct_base_cases(a3):
     single = pr.build_poset(["a"], [])
-    e = pr.construct_indecomposable(single, D(1, a=1), F2, fallback="forbid")
+    e = pr.construct_indecomposable(single, D(1, a=1), F2)
     assert pr.are_isomorphic(e, pr.special_E(single, F2, "a")) is not None
-    t = pr.construct_indecomposable(a3, D(0, x=1), F2, fallback="forbid")
+    t = pr.construct_indecomposable(a3, D(0, x=1), F2)
     assert pr.dimension_of(t) == D(0, x=1)
-    t0 = pr.construct_indecomposable(a3, D(1), F2, fallback="forbid")
+    t0 = pr.construct_indecomposable(a3, D(1), F2)
     assert pr.dimension_of(t0) == D(1)
+
+
+def test_construction_uses_no_census(a3, chain4, kposet, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("construction reached a census")
+
+    for name in ("brute_force_indecomposables", "rep_iso_census", "_census_lookup"):
+        monkeypatch.setattr(classify, name, no_census)
+    posets = (a3, chain4, pr.primitive_poset(1, 1, 2),
+              pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c1"]))
+    built = 0
+    for poset in posets:
+        for d in all_dimensions(poset, 6):
+            if not pr.is_finite_type(poset, d) or pr.tits_value(poset, d) != 1:
+                continue
+            for field in (pr.QQ, F2, F3):
+                u = pr.construct_indecomposable(poset, d, field)
+                assert pr.dimension_of(u) == d and u.field == field
+                built += 1
+    assert built == 3 * 66
 
 
 def test_construct_on_k_subposet(kposet):

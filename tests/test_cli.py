@@ -130,6 +130,30 @@ def test_verify_cli_rejects_bad_field(capsys, a3_file):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+OUT_OF_RANGE = {
+    "verify max-total -1": (["verify", "--max-total", "-1"], None),
+    "verify no fields": (["verify", "--fields", ""], None),
+    "verify blank fields": (["verify", "--fields", " , "], None),
+    "verify budget -5": (["verify", "--budget", "-5"], None),
+    "brute-count budget -1": (["brute-count", "--budget", "-1"], None),
+    "POSETREP_BUDGET -1": (["brute-count"], "-1"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch, a3_file, case):
+    """An out-of-range flag or POSETREP_BUDGET is a validation error, not an
+    empty verification (exit 0) or an exhausted budget (exit 3)."""
+    argv, env = OUT_OF_RANGE[case]
+    if env is not None:
+        monkeypatch.setenv("POSETREP_BUDGET", env)
+    argv = [argv[0], "--poset", a3_file, *argv[1:]]
+    if argv[0] == "brute-count":
+        argv += ["--dim", write(tmp_path, "d.json", {"0": 1, "x": 1})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_round_trip_reparse(tmp_path, capsys, a3_file):
     code, out = run(capsys, "derive", "--poset", a3_file, "--pivot", "x")
     ctx = jsonio.derived_from_json(out)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import posetrep as pr
-from posetrep.linalg import ExactMatrix
+from posetrep.linalg import ExactMatrix, solve_columns, span_intersection
 from posetrep.reps import rep_decompose
 
 from conftest import all_dimensions, random_element
@@ -84,14 +84,19 @@ def test_differentiate_unit_element():
 
 
 def test_intersection_rule_breaks_order_preservation(a3, a3ctx):
-    """The literal intersection reading violates p > p' on the derived poset."""
+    """The literal intersection reading V(y) ∩ V(z) ∩ V(x) at the pair {y,z}
+    violates p > p' on the derived poset; the sum reading does not."""
     line = ExactMatrix.from_rows(F2, [[1], [0]])
     other = ExactMatrix.from_rows(F2, [[0], [1]])
     v = pr.SubspaceRep(a3, F2, 2, {"x": line, "y": line, "z": other})
-    sum_reading = pr.differentiate(v, "x", a3ctx, pair_rule="sum")
+    sum_reading = pr.differentiate(v, "x", a3ctx)
     assert sum_reading.dim("{y,z}") == 1
+    meet = span_intersection(span_intersection(line, other), line)
+    literal = dict(sum_reading.subspaces)
+    literal["{y,z}"] = solve_columns(line, meet)
+    assert literal["y"].cols == 1 and literal["{y,z}"].cols == 0
     with pytest.raises(pr.ValidationError):
-        pr.differentiate(v, "x", a3ctx, pair_rule="intersection")
+        pr.SubspaceRep(a3ctx.result, F2, 1, literal)
 
 
 def test_integrate_three_lines(a3, a3ctx):
@@ -172,14 +177,14 @@ def test_dstar_examples(a3, a3ctx):
         pr.DimensionVector(2, {"x": 2, "y": 1, "z": 1})
 
 
-def test_subordinate_dimensions_example(a3):
-    subs = pr.subordinate_dimensions(a3, "x", pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1}))
+def test_subordinate_dimensions_example(a3ctx):
+    subs = pr.subordinate_dimensions(a3ctx, pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1}))
     assert subs == [pr.DimensionVector(1, {"{y,z}": 1})]
 
 
-def test_subordinate_dimensions_nonnegativity(a3):
+def test_subordinate_dimensions_nonnegativity(a3ctx):
     # d(y) = 0 rules out any pair value at {y,z}
-    subs = pr.subordinate_dimensions(a3, "x", pr.DimensionVector(1, {"x": 1, "z": 1}))
+    subs = pr.subordinate_dimensions(a3ctx, pr.DimensionVector(1, {"x": 1, "z": 1}))
     for dv in subs:
         assert dv.get("{y,z}") == 0
 
@@ -192,7 +197,7 @@ def test_subordinate_finiteness_and_dstar_inverse(poset_catalog):
         ctx = pr.derive_poset(p, a)
         d = pr.DimensionVector(rng.randint(1, 3),
                                {x: rng.randint(0, 2) for x in p.elements})
-        subs = pr.subordinate_dimensions(p, a, d)
+        subs = pr.subordinate_dimensions(ctx, d)
         assert len(subs) < 200
         seen = set()
         for dv in subs:
@@ -267,5 +272,5 @@ def test_subordinates_of_finite_type_stay_finite(poset_catalog):
         for d in all_dimensions(p, 4):
             if not pr.is_finite_type(p, d):
                 continue
-            for dv in pr.subordinate_dimensions(p, a, d):
+            for dv in pr.subordinate_dimensions(ctx, d):
                 assert pr.is_finite_type(ctx.result, dv)
