@@ -1,11 +1,12 @@
 """Classification and construction procedures, plus brute-force oracles.
 
 Isomorphism classes of representations with an exact dimension vector are
-counted by enumerating subspace configurations and taking their GL(d0)
-orbits on arrays: each generator, an elementary column operation, permutes
-the interned subspace ids through a lazily grown table, all configurations
-are moved at once, image rows are found by exact packed keys, and the orbits
-are the connected components of those moves.  A census is cached as a core
+counted on the fibre over the first element: the first element is fixed to
+one subspace S, the rest are enumerated, and the orbits of the stabilizer of
+S are taken on arrays, one per GL(d0)-orbit.  Each generator permutes the
+interned subspace ids through a lazily grown table, all configurations are
+moved at once, image rows are found by exact packed keys, and the orbits are
+the connected components of those moves.  A census is cached as a core
 of numbers and configurations: count_iso_classes, el_indecomposable_count
 and the verification harness's counts read the core, and only
 rep_iso_census and brute_force_indecomposables lift its indecomposables to
@@ -13,7 +14,7 @@ elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone.
 
 The census caches may be filled from several threads: one lock covers
-space creation, census computation (with the generator tables it grows)
+space creation, census computation (with the stabilizer tables it grows)
 and the cache insert; cache hits are lock-free reads.
 """
 
@@ -78,15 +79,14 @@ def _primitive_root(p: int) -> int:
 
 
 class SubspaceSpace:
-    """Interned subspaces of F_p^n with memoized span and GL-generator actions.
+    """Interned subspaces of F_p^n with memoized spans and stabilizer actions.
 
     Vectors are encoded as base-p integers; a subspace is the canonical
     tuple of its reduced-echelon basis rows, which linalg.rref, the one
-    elimination kernel, returns for any spanning set.  Each GL generator is
-    an elementary column operation, so an image costs one operation per
-    basis row and a re-reduction.  The generator actions are kept as one
-    table over the subspace ids, row g holding the image of each id under
-    generator g (-1 where not yet computed).
+    elimination kernel, returns for any spanning set.  The stabilizer in
+    GL_n(F_p) of each subspace the census fixes is kept with its own image
+    table over these ids (see _Stabilizer); the stabilizer of the zero
+    space is GL_n(F_p) itself.
     """
 
     def __init__(self, p: int, n: int):
@@ -99,9 +99,8 @@ class SubspaceSpace:
         self._extend: dict[tuple[int, int], int] = {}
         self._join: dict[tuple[int, int], int] = {}
         self._supersets: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._stabilizers: dict[int, _Stabilizer] = {}
         self.zero_id = self._intern(())
-        self.generators = self._gl_generators()
-        self._table = np.full((len(self.generators), 0), -1, dtype=np.int64)
 
     # vector encoding ------------------------------------------------------
 
@@ -187,53 +186,86 @@ class SubspaceSpace:
             self._supersets[key] = got
         return got
 
-    # group action --------------------------------------------------------------
-
-    def _gl_generators(self) -> list[tuple[int, int, int]]:
-        """Generators of GL_n(F_p), each an elementary column operation
-        (i, j, r) on the coordinates: x_i += x_j when i != j, and x_0 *= r
-        for a primitive root r when p > 2."""
-        n = self.n
-        gens = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
-        if self.p > 2 and n > 0:
-            gens.append((0, 0, _primitive_root(self.p)))
-        return gens
-
-    def apply_generator(self, gidx: int, sid: int) -> int:
-        """The id of generator gidx applied to subspace sid: its column
-        operation on each echelon row, then re-reduced and interned."""
-        i, j, r = self.generators[gidx]
-        p = self.p
-        rows = []
-        for row in self._basis[sid]:
-            row = list(row)
-            row[i] = (row[i] + row[j]) % p if i != j else row[i] * r % p
-            rows.append(row)
-        return self._intern_span(rows)
-
-    def generator_table(self, ids: np.ndarray) -> np.ndarray:
-        """The (generators, ·) image table, filled in at least for the ids in
-        the given array: table[g, s] is the id of generator g applied to s."""
-        table = self._table
-        need = int(ids.max()) + 1
-        if table.shape[1] < need:
-            grown = np.full((len(self.generators), max(need, 2 * table.shape[1])),
-                            -1, dtype=np.int64)
-            grown[:, :table.shape[1]] = table
-            self._table = table = grown
-        if len(self.generators):
-            wanted = np.zeros(table.shape[1], dtype=bool)
-            wanted[ids] = True
-            for sid in np.flatnonzero(wanted & (table[0] < 0)).tolist():
-                table[:, sid] = [self.apply_generator(g, sid)
-                                 for g in range(len(self.generators))]
-        return table
+    def stabilizer(self, sid: int) -> _Stabilizer:
+        """The stabilizer of subspace sid in GL_n(F_p), created once."""
+        got = self._stabilizers.get(sid)
+        if got is None:
+            with _LOCK:
+                got = self._stabilizers.get(sid)
+                if got is None:
+                    got = self._stabilizers[sid] = _Stabilizer(self, sid)
+        return got
 
     def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
         """Canonical basis of the subspace, as columns of an ExactMatrix."""
         rows = self._basis[sid]
         return ExactMatrix(field, self.n, len(rows),
                            [tuple(row[i] for row in rows) for i in range(self.n)])
+
+
+class _Stabilizer:
+    """The stabilizer in GL_n(F_p) of one subspace S, acting on the ids of
+    its SubspaceSpace.
+
+    With k = dim S, the stabilizer of span(e_0, ..., e_{k-1}) is the block
+    upper triangular group, generated by the elementary column operations
+    x_i += x_j with i < k or j >= k and, when p > 2, by scaling x_0 and x_k
+    by a primitive root.  For S itself these are conjugated by a basis T
+    whose first k rows are S's echelon rows, X becoming T^-1 X T on row
+    vectors.  Each generator is I + c E_ji, so its conjugate is a pair
+    (u, w) acting as v -> v + (v . u) w, with u = c T^-1 e_j and w row i of
+    T.  T is the identity when S is a coordinate span, and with k = 0 or
+    k = n the group is GL_n(F_p).  The actions are kept as one table over
+    the subspace ids, row g holding the image of each id under generator g
+    (-1 where not yet computed), grown under the census lock.
+    """
+
+    def __init__(self, space: SubspaceSpace, sid: int):
+        self.space = space
+        n, p = space.n, space.p
+        basis = space.basis_rows(sid)
+        k = len(basis)
+        pivots = {next(a for a, x in enumerate(row) if x) for row in basis}
+        identity = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+        t = list(basis) + [identity[m] for m in range(n) if m not in pivots]
+        reduced, _ = rref([row + e for row, e in zip(t, identity)], 2 * n, p)
+        inverse = [row[n:] for row in reduced]
+        ops = [(i, j, 1) for i in range(n) for j in range(n)
+               if i != j and (i < k or j >= k)]
+        if p > 2:
+            ops += [(m, m, _primitive_root(p) - 1) for m in sorted({0, k}) if m < n]
+        self.generators = [(tuple(c * row[j] % p for row in inverse), t[i])
+                           for i, j, c in ops]
+        self._table = np.full((len(ops), 0), -1, dtype=np.int64)
+
+    def apply(self, g: int, sid: int) -> int:
+        """The id of generator g applied to subspace sid: the generator on
+        each echelon row, then re-reduced and interned."""
+        p = self.space.p
+        u, w = self.generators[g]
+        rows = []
+        for row in self.space.basis_rows(sid):
+            s = sum(x * y for x, y in zip(row, u)) % p
+            rows.append([(x + s * y) % p for x, y in zip(row, w)] if s else row)
+        return self.space._intern_span(rows)
+
+    def table(self, ids: np.ndarray) -> np.ndarray:
+        """The (generators, ·) image table, filled in at least for the ids in
+        the given array: table[g, s] is the id of generator g applied to s."""
+        with _LOCK:
+            table = self._table
+            need = int(ids.max()) + 1
+            if table.shape[1] < need:
+                grown = np.full((len(table), max(need, 2 * table.shape[1])),
+                                -1, dtype=np.int64)
+                grown[:, :table.shape[1]] = table
+                self._table = table = grown
+            if len(table):
+                wanted = np.zeros(table.shape[1], dtype=bool)
+                wanted[ids] = True
+                for sid in np.flatnonzero(wanted & (table[0] < 0)).tolist():
+                    table[:, sid] = [self.apply(g, sid) for g in range(len(table))]
+            return table
 
 
 _SPACES: dict[tuple[int, int], SubspaceSpace] = {}
@@ -252,19 +284,35 @@ def _space(p: int, n: int) -> SubspaceSpace:
     return got
 
 
-def _enumerate_configs(poset: Poset, d: DimensionVector, space: SubspaceSpace,
-                       budget: int) -> list[tuple[int, ...]]:
-    """All subspace assignments realizing d exactly (quotient dimensions)."""
+def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
+                     budget: int) -> tuple[list[tuple[int, ...]], int, int]:
+    """The fibre of the census of d over its first element.
+
+    Elements are enumerated minimal first, so the first one, of dimension
+    k = d(first), takes every k-subspace in the outermost loop.  Returns the
+    configurations realizing d exactly (quotient dimensions) in which it
+    takes the first of them, S, in enumeration order; then S (the zero space
+    when the support is empty) and the number of k-subspaces, the factor by
+    which the full enumeration is larger.  BudgetExceeded is raised as soon
+    as the full count would pass the budget.
+    """
     elems = poset.elements
     below = {a: [b for b in elems if poset.lt(b, a)] for a in elems}
     order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
+    if not order:
+        return [()], space.zero_id, 1
+    k = d.get(order[0])
+    firsts = space.supersets(space.zero_id, k) if k <= space.n else ()
+    if not firsts:
+        return [], space.zero_id, 0
+    cap = budget // len(firsts)
     out: list[tuple[int, ...]] = []
-    assignment: dict[str, int] = {}
+    assignment = {order[0]: firsts[0]}
 
     def rec(i: int):
         if i == len(order):
             out.append(tuple(assignment[a] for a in elems))
-            if len(out) > budget:
+            if len(out) > cap:
                 raise BudgetExceeded(
                     f"configuration enumeration exceeds budget {budget}")
             return
@@ -279,8 +327,8 @@ def _enumerate_configs(poset: Poset, d: DimensionVector, space: SubspaceSpace,
             rec(i + 1)
             del assignment[a]
 
-    rec(0)
-    return out
+    rec(1)
+    return out, firsts[0], len(firsts)
 
 
 class _RowKeys:
@@ -353,9 +401,9 @@ def _orbit_minima(moves: np.ndarray) -> np.ndarray:
 
 
 def _orbit_representatives(configs: list[tuple[int, ...]],
-                           space: SubspaceSpace) -> list[tuple[int, ...]]:
-    """One representative per GL(d0)-orbit: the first configuration of each
-    orbit, in enumeration order.
+                           group: _Stabilizer) -> list[tuple[int, ...]]:
+    """One representative per orbit of the group: the first configuration of
+    each orbit, in enumeration order.
 
     Raises InvariantViolated when a generator moves a configuration out of
     the set, which the enumeration of an exact dimension rules out.
@@ -364,13 +412,13 @@ def _orbit_representatives(configs: list[tuple[int, ...]],
     if n <= 1:
         return list(configs)
     cfg = np.array(configs, dtype=np.int64)
-    table = space.generator_table(cfg)
+    table = group.table(cfg)
     rows = _RowKeys(cfg)
     moves = np.empty((len(table), n), dtype=np.int64)
     for g, image in enumerate(table):
         moves[g] = rows.find(image[cfg])
     if (moves < 0).any():
-        raise InvariantViolated("a GL generator moved a configuration out of the set")
+        raise InvariantViolated("a generator moved a configuration out of the set")
     label = _orbit_minima(moves)
     return [configs[i] for i in np.flatnonzero(label == np.arange(n)).tolist()]
 
@@ -390,16 +438,24 @@ class Census:
 class _CensusCore:
     count: int
     indec_configs: tuple[tuple[int, ...], ...]
-    n_configs: int                     # configurations enumerated, held against budgets
+    n_configs: int                     # configurations of d, held against budgets
 
 
 _CENSUS_CACHE: dict[tuple, _CensusCore] = {}
 
 
 def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _CensusCore:
+    """The census of d, taken on the fibre over its first element.
+
+    GL(d0) is transitive on the subspaces the first element can take, so
+    each GL(d0)-orbit meets the fibre over S in exactly one orbit of the
+    stabilizer of S.  The fibre comes first in the enumeration, so the first
+    configuration of every orbit lies in it: the representatives are those
+    of the full enumeration, in the same order.
+    """
     space = _space(p, d.d0)
-    configs = _enumerate_configs(canon, d, space, budget)
-    reps = _orbit_representatives(configs, space)
+    configs, first, n_firsts = _enumerate_fibre(canon, d, space, budget)
+    reps = _orbit_representatives(configs, space.stabilizer(first))
     field = FieldSpec("gf", p)
     indec = []
     for cfg in reps:
@@ -409,7 +465,7 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
         basis = [m.f for m in rep_hom_basis(v, v)]
         if _find_splitting_idempotent(basis, d.d0, field) is None:
             indec.append(cfg)
-    return _CensusCore(len(reps), tuple(indec), len(configs))
+    return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
 
 def _canonical_support(poset: Poset, d: DimensionVector):

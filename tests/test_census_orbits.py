@@ -1,5 +1,6 @@
-"""Census orbits on arrays, checked against the per-tuple flood and the
-matrix-product generator action they replace."""
+"""The census on its first element's fibre, with stabilizer orbits on arrays,
+checked against the full enumeration, the per-tuple flood and matrix-product
+generator actions."""
 
 import ast
 import math
@@ -20,34 +21,95 @@ F2, F3 = pr.GF(2), pr.GF(3)
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "posetrep"
 
 
-def generator_matrix(space, gidx):
-    """Generator gidx of space as an n x n matrix over F_p."""
-    i, j, r = space.generators[gidx]
-    g = [[int(a == b) for b in range(space.n)] for a in range(space.n)]
-    g[i][j] = r if i == j else 1
-    return g
+def generator_matrix(group, g):
+    """Generator g of a stabilizer as an n x n matrix on row vectors:
+    I + u w^T for its pair (u, w)."""
+    u, w = group.generators[g]
+    n, p = group.space.n, group.space.p
+    return [[(int(a == b) + u[a] * w[b]) % p for b in range(n)] for a in range(n)]
 
 
-def matrix_apply_generator(space, gidx, sid):
-    """Reference oracle: the generator matrix applied to each echelon row of
-    the subspace by a full matrix product."""
-    g = generator_matrix(space, gidx)
+def elementary_gl_matrices(n, p):
+    """The elementary generators of GL_n(F_p) on row vectors, x_i += x_j and
+    x_0 scaled by a generator of F_p^*, built without the library."""
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                m = [[int(a == b) for b in range(n)] for a in range(n)]
+                m[j][i] = 1
+                gens.append(m)
+    if p > 2 and n:
+        r = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        m[0][0] = r
+        gens.append(m)
+    return gens
+
+
+def matrix_apply(space, matrix, sid):
+    """Reference oracle: the matrix applied to each echelon row of the
+    subspace by a full matrix product, re-reduced and interned."""
     n, p = space.n, space.p
-    rows = [tuple(sum(g[a][b] * row[b] for b in range(n)) % p for a in range(n))
+    rows = [tuple(sum(row[a] * matrix[a][b] for a in range(n)) % p for b in range(n))
             for row in space.basis_rows(sid)]
     reduced, _ = rref(rows, n, p)
     return space._intern(tuple(map(tuple, reduced)))
 
 
+def matrix_apply_generator(group, g, sid):
+    """Reference oracle: stabilizer generator g applied to the subspace by a
+    full matrix product."""
+    return matrix_apply(group.space, generator_matrix(group, g), sid)
+
+
+def group_order(gens, n, p):
+    """The order of the group the matrices generate, by closing the identity
+    under right multiplication, all products of a round at once."""
+    gens = np.array(gens, dtype=np.int64).reshape(-1, n, n)
+    weights = p ** np.arange(n * n, dtype=np.int64)
+    frontier = np.eye(n, dtype=np.int64)[None]
+    seen = frontier.reshape(1, -1) @ weights
+    while len(frontier):
+        prods = (frontier[:, None] @ gens[None] % p).reshape(-1, n, n)
+        codes, first = np.unique(prods.reshape(len(prods), n * n) @ weights, return_index=True)
+        new = ~np.isin(codes, seen)
+        frontier = prods[first[new]]
+        seen = np.union1d(seen, codes[new])
+    return len(seen)
+
+
+def gl_order(n, p):
+    return math.prod(p ** n - p ** k for k in range(n))
+
+
+def gaussian_binomial(n, k, p):
+    return math.prod(p ** (n - i) - 1 for i in range(k)) // \
+        math.prod(p ** (i + 1) - 1 for i in range(k))
+
+
+def fixed_subspaces(space, k):
+    """The k-subspaces a stabilizer test fixes: the census's first candidate
+    and, when 0 < k < n, span(e_0 + e_1, ..., e_{k-1} + e_k), which is no
+    coordinate span, so its stabilizer is conjugated."""
+    out = [space.supersets(space.zero_id, k)[0]]
+    if 0 < k < space.n:
+        rows = [[int(a in (m, m + 1)) for a in range(space.n)] for m in range(k)]
+        out.append(space._intern_span(rows))
+    return out
+
+
 def flood_representatives(configs, space):
-    """Reference oracle: flood each unseen configuration's orbit tuple by
-    tuple, one generator move at a time; representatives in first-seen order."""
+    """Reference oracle: flood each unseen configuration's orbit under the
+    elementary generators of GL(d0), tuple by tuple and one matrix product at
+    a time; representatives in first-seen order."""
+    gens = elementary_gl_matrices(space.n, space.p)
     config_set = set(configs)
     images = {}
 
     def move(g, sid):
         if (g, sid) not in images:
-            images[g, sid] = space.apply_generator(g, sid)
+            images[g, sid] = matrix_apply(space, gens[g], sid)
         return images[g, sid]
 
     seen = set()
@@ -60,7 +122,7 @@ def flood_representatives(configs, space):
         seen.add(cfg)
         while queue:
             cur = queue.pop()
-            for g in range(len(space.generators)):
+            for g in range(len(gens)):
                 nxt = tuple(move(g, sid) for sid in cur)
                 if nxt not in seen:
                     if nxt not in config_set:
@@ -70,17 +132,69 @@ def flood_representatives(configs, space):
     return reps
 
 
-def census_configs(poset, d, p):
-    """The configurations rep_iso_census enumerates for (poset, d, GF(p))."""
+def enumerate_configs(poset, d, space):
+    """Reference oracle: every subspace assignment realizing d exactly
+    (quotient dimensions), minimal elements first, in the census's order."""
+    elems = poset.elements
+    below = {a: [b for b in elems if poset.lt(b, a)] for a in elems}
+    order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
+    out = []
+    assignment = {}
+
+    def rec(i):
+        if i == len(order):
+            out.append(tuple(assignment[a] for a in elems))
+            return
+        a = order[i]
+        base = space.zero_id
+        for b in below[a]:
+            base = space.join(base, assignment[b])
+        if space.dim(base) + d.get(a) > space.n:
+            return
+        for sid in space.supersets(base, d.get(a)):
+            assignment[a] = sid
+            rec(i + 1)
+            del assignment[a]
+
+    rec(0)
+    return out
+
+
+def canonical(poset, d):
+    """The canonical support poset and dimension the census of d runs on."""
     order, rels = classify._canonical_support(poset, d)
     canon = pr.Poset([str(i) for i in range(len(order))], rels)
-    dc = pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
+    return canon, pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
+
+
+def census_configs(poset, d, p):
+    """Every configuration of (poset, d, GF(p)), by the full enumeration, and
+    its space."""
+    canon, dc = canonical(poset, d)
     space = classify._space(p, d.d0)
-    return classify._enumerate_configs(canon, dc, space, classify.DEFAULT_ENUM_BUDGET), space
+    return enumerate_configs(canon, dc, space), space
+
+
+def check_fibre_census(poset, d, p):
+    """The full enumeration and the flood against the fibre census: the same
+    representatives in the same order, count and n_configs.  Returns the
+    representatives."""
+    configs, space = census_configs(poset, d, p)
+    reps = flood_representatives(configs, space)
+    canon, dc = canonical(poset, d)
+    fibre, first, m = classify._enumerate_fibre(canon, dc, space,
+                                                classify.DEFAULT_ENUM_BUDGET)
+    assert fibre == configs[:len(fibre)] and len(fibre) * m == len(configs), d
+    assert classify._orbit_representatives(fibre, space.stabilizer(first)) == reps, d
+    core = classify._census_core(canon, dc, p, classify.DEFAULT_ENUM_BUDGET)
+    assert (core.count, core.n_configs) == (len(reps), len(configs)), d
+    assert list(core.indec_configs) == [c for c in reps if c in core.indec_configs], d
+    return reps
 
 
 def cold():
-    """Empty the census caches, so the next census is computed afresh."""
+    """Empty the census caches, so the next census is computed afresh.  The
+    stabilizers and their tables live on the spaces and go with them."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
 
@@ -101,30 +215,27 @@ def test_column_operations_match_matrix_products(p, n):
     # every subspace of F_p^n: the Gaussian binomials summed over k
     assert len(subspaces) == {(2, 1): 2, (2, 2): 5, (2, 3): 16, (2, 4): 67,
                               (3, 1): 2, (3, 2): 6, (3, 3): 28}[p, n]
-    for g in range(len(space.generators)):
-        for sid in subspaces:
-            assert space.apply_generator(g, sid) == matrix_apply_generator(space, g, sid), \
-                (space.generators[g], space.basis_rows(sid))
+    for k in range(n + 1):
+        for s in fixed_subspaces(space, k):
+            group = space.stabilizer(s)
+            for g in range(len(group.generators)):
+                assert group.apply(g, s) == matrix_apply_generator(group, g, s) == s
+                for sid in subspaces:
+                    assert group.apply(g, sid) == matrix_apply_generator(group, g, sid), \
+                        (group.generators[g], space.basis_rows(sid))
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
 def test_generators_generate_gl(p, n):
+    # at k = 0 and k = n the stabilizer is GL_n itself; at every k its order
+    # is |GL_n| over the number of k-subspaces, by orbit-stabilizer
     space = classify.SubspaceSpace(p, n)
-    gens = [generator_matrix(space, g) for g in range(len(space.generators))]
-    identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = tuple(tuple(sum(g[a][c] * m[c][b] for c in range(n)) % p
-                                   for b in range(n)) for a in range(n))
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    assert len(group) == math.prod(p ** n - p ** k for k in range(n))
+    assert group_order(elementary_gl_matrices(n, p), n, p) == gl_order(n, p)
+    for k in range(n + 1):
+        for s in fixed_subspaces(space, k):
+            group = space.stabilizer(s)
+            gens = [generator_matrix(group, g) for g in range(len(group.generators))]
+            assert group_order(gens, n, p) == gl_order(n, p) // gaussian_binomial(n, k, p)
 
 
 def test_count_readers_never_lift(a3, chain4, monkeypatch):
@@ -173,19 +284,30 @@ def test_orbits_match_flood_on_small_posets(a3, chain4, p):
         for d in all_dimensions(poset, 5):
             if d.d0 == 0:
                 continue
-            configs, space = census_configs(poset, d, p)
-            assert classify._orbit_representatives(configs, space) == \
-                flood_representatives(configs, space), d
+            check_fibre_census(poset, d, p)
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fibre_edge_cases(a3, p):
+    # the first element wider than the space: an empty fibre and no class;
+    # an empty support with d0 > 0: one configuration, and its one class
+    for d, count in ((pr.DimensionVector(1, {"x": 2}), 0),
+                     (pr.DimensionVector(2, {"x": 3, "y": 1}), 0),
+                     (pr.DimensionVector(2, {}), 1),
+                     (pr.DimensionVector(1, {}), 1)):
+        assert len(check_fibre_census(a3, d, p)) == count
+        cold()
+        core, _ = classify._census_lookup(a3, d, pr.GF(p), None)
+        assert (core.count, core.n_configs) == (count, count)
+        assert pr.count_iso_classes(a3, d, pr.GF(p)) == count
 
 
 @pytest.mark.parametrize("m,n,p", [(4, 2, 2), (4, 2, 3), (5, 2, 2), (5, 2, 3),
                                    (4, 3, 2), (4, 3, 3), (5, 3, 2)])
 def test_orbits_match_flood_on_antichains(m, n, p):
-    configs, space = census_configs(antichain(m), ones(m, n), p)
-    reps = classify._orbit_representatives(configs, space)
-    assert reps == flood_representatives(configs, space)
+    reps = check_fibre_census(antichain(m), ones(m, n), p)
     assert len(reps) == burnside_point_tuple_orbits(p, n, m)
 
 
@@ -194,7 +316,13 @@ def test_orbit_closure_violation_raises():
     lines = space.supersets(space.zero_id, 1)
     # two of the three lines of F_2^2: GL_2 moves one of them to the third
     with pytest.raises(pr.InvariantViolated):
-        classify._orbit_representatives([(lines[0],), (lines[1],)], space)
+        classify._orbit_representatives([(lines[0],), (lines[1],)],
+                                        space.stabilizer(space.zero_id))
+    # a fibre over the first line missing a configuration: its stabilizer
+    # moves the second line to the third
+    with pytest.raises(pr.InvariantViolated):
+        classify._orbit_representatives([(lines[0], lines[1]), (lines[0], lines[0])],
+                                        space.stabilizer(lines[0]))
 
 
 def test_row_keys_exact_past_int64():
@@ -226,9 +354,10 @@ def test_row_keys_exact_past_int64():
 
 @pytest.mark.parametrize("p,expected", [(2, 25), (3, 26)])
 def test_antichain_census_at_d0_three(p, expected):
-    a4 = antichain(4)
-    assert burnside_point_tuple_orbits(p, 3, 4) == expected
-    assert pr.count_iso_classes(a4, ones(4, 3), pr.GF(p)) == expected
+    five = {2: 131, 3: 156}[p]
+    for m, count in ((4, expected), (5, five)):
+        assert burnside_point_tuple_orbits(p, 3, m) == count
+        assert pr.count_iso_classes(antichain(m), ones(m, 3), pr.GF(p)) == count
 
 
 def test_census_threads_match_serial(a3, chain4):

@@ -82,11 +82,24 @@ def test_brute_force_methods_agree(a3, chain4):
 
 
 def test_census_cache_respects_budget(a4):
-    """A cached census answers only callers whose budget covers its enumeration."""
+    """A census answers only callers whose budget covers its enumeration: all
+    256 configurations of (2; 1, 1, 1, 1) over GF(3), not the 64 of the
+    fibre it runs on, cold or cached."""
     d = D(2, w=1, x=1, y=1, z=1)
-    assert pr.count_iso_classes(a4, d, F3) == 15
+    fibre, _, m = classify._enumerate_fibre(a4, d, classify._space(3, 2),
+                                            classify.DEFAULT_ENUM_BUDGET)
+    assert (len(fibre), m) == (64, 4)
+    classify._CENSUS_CACHE.clear()
     with pytest.raises(pr.BudgetExceeded):
-        pr.count_iso_classes(a4, d, F3, budget=10)
+        pr.count_iso_classes(a4, d, F3, budget=100)
+    assert not classify._CENSUS_CACHE  # stopped inside the enumeration
+    assert pr.count_iso_classes(a4, d, F3) == 15
+    core, _ = classify._census_lookup(a4, d, F3, None)
+    assert core.n_configs == 256
+    for budget in (10, 100, 255):
+        with pytest.raises(pr.BudgetExceeded):
+            pr.count_iso_classes(a4, d, F3, budget=budget)
+    assert pr.count_iso_classes(a4, d, F3, budget=256) == 15
 
 
 def test_brute_force_rejects_rationals(a3):
