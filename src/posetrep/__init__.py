@@ -28,7 +28,6 @@ from .poset import (
     CriticalEmbedding,
     Poset,
     build_poset,
-    chain_cover,
     critical_posets,
     critical_subposet_embeddings,
     incomparables,
@@ -63,22 +62,16 @@ from .reps import (
     are_isomorphic,
     decompose,
     dimension_of,
-    direct_sum,
     el_hom_basis,
-    end_algebra,
     end_dimension,
     is_indecomposable,
-    is_quite_sincere,
     lift,
     rep_decompose,
     rep_end_dimension,
     rep_hom_basis,
     rho,
     split_trivial_columns,
-    special_E,
-    special_E_pair,
     special_T,
-    special_T0,
 )
 from .derivation import (
     DerivedPoset,

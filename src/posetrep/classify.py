@@ -493,16 +493,17 @@ def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
     configurations are indexed by.
 
     Every census entry point comes through here: the field must be a finite
-    prime field and every element of the support must belong to the poset.
-    Censuses with d0 = 0 are answered without the cache.  A cached core
-    still raises BudgetExceeded when its enumeration exceeds the caller's
-    budget.
+    prime field, every element of the support must belong to the poset and
+    no entry may be negative.  Censuses with d0 = 0 are answered without the
+    cache.  A cached core still raises BudgetExceeded when its enumeration
+    exceeds the caller's budget.
     """
     if not field.is_prime_field:
         raise FieldTooRestrictive("class counting requires a finite prime field")
     budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
     for a in d.support():
         poset.check_element(a)
+    _check_nonnegative(d)
     if d.d0 == 0:
         return _CensusCore(0 if d.support() else 1, (), 0), ()
     order, rels = _canonical_support(poset, d)
@@ -518,6 +519,11 @@ def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
     return core, order
+
+
+def _check_nonnegative(d: DimensionVector):
+    if d.d0 < 0 or any(v < 0 for v in d.values.values()):
+        raise ValidationError(f"dimension {d} has a negative entry")
 
 
 def _lift_configs(poset: Poset, d0: int, field: FieldSpec, order: tuple[str, ...],
@@ -601,15 +607,16 @@ def construct_indecomposable(poset: Poset, d: DimensionVector,
                              field: FieldSpec) -> MatrixRep | None:
     """The unique indecomposable of a finite-type root dimension, or None.
 
-    Raises NotFiniteType when d dominates a critical dimension and returns
-    None when Q(d) != 1.  A root is built by the derive/recurse/integrate
-    induction alone, which the main theorem guarantees for every finite-type
-    root: restrict to the support, emit the explicit element when d0 <= 1,
-    and otherwise try each maximal pivot in order, constructing each
-    subordinate finite-type root on the derived poset, integrating it back
-    and keeping the first result of dimension d.  Raises ConstructionFailed
-    when no pivot gives a route.
+    Raises ValidationError on a negative entry and NotFiniteType when d
+    dominates a critical dimension, and returns None when Q(d) != 1.  A root
+    is built by the derive/recurse/integrate induction alone, which the main
+    theorem guarantees for every finite-type root: restrict to the support,
+    emit the explicit element when d0 <= 1, and otherwise try each maximal
+    pivot in order, constructing each subordinate finite-type root on the
+    derived poset, integrating it back and keeping the first result of
+    dimension d.  Raises ConstructionFailed when no pivot gives a route.
     """
+    _check_nonnegative(d)
     if not is_finite_type(poset, d):
         raise NotFiniteType(f"{d} dominates a critical dimension")
     if tits_value(poset, d) != 1:

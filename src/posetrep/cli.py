@@ -1,13 +1,15 @@
 """Command-line front end: JSON in, canonical JSON out.
 
 Exit codes: 0 success, 1 verification assertion failure, 2 validation error,
-3 budget exhaustion.
+3 budget exhaustion.  POSETREP_BUDGET is read once per command: it is the
+budget of brute-count, verify and decompose when --budget is not given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classify, jsonio
@@ -151,7 +153,7 @@ def cmd_brute_count(args) -> int:
 def cmd_decompose(args) -> int:
     poset = _load_poset(args)
     u = jsonio.rep_from_json(_read_json(args.rep), poset)
-    result = decompose(u)
+    result = decompose(u, args.budget)
     _write_output(
         {
             "pieces": [jsonio.rep_to_json(p) for p in result.pieces],
@@ -218,10 +220,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BUDGETED = ("brute-count", "verify", "decompose")
+
+
+def _env_budget() -> int | None:
+    raw = os.environ.get("POSETREP_BUDGET")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"POSETREP_BUDGET must be an integer, got {raw!r}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in _BUDGETED and getattr(args, "budget", None) is None:
+            args.budget = _env_budget()
         return args.fn(args)
     except (BudgetExceeded, UndecidableAtBudget) as exc:
         sys.stderr.write(f"budget: {exc}\n")

@@ -45,10 +45,6 @@ class PairMark:
     prime: str                # p'
     second: str               # p''
 
-    def other(self, x: str) -> str:
-        b, c = self.members
-        return c if x == b else b
-
 
 @dataclass(frozen=True)
 class DerivedPoset:

@@ -9,7 +9,6 @@ field once per call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,13 +19,9 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
 def resolve_budget(budget: int | None, default: int) -> int:
-    """The caller's budget, else POSETREP_BUDGET, else default; never negative."""
+    """The caller's budget, else default; never negative."""
     if budget is None:
-        raw = os.environ.get("POSETREP_BUDGET", default)
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"POSETREP_BUDGET must be an integer, got {raw!r}") from exc
+        return default
     if budget < 0:
         raise ValidationError(f"budgets must be non-negative, got {budget}")
     return budget
@@ -88,21 +83,7 @@ class FieldSpec:
                 x = Fraction(x)
                 return self.coerce(x)
             return int(x) % self.p
-        if isinstance(x, str):
-            return Fraction(x)
         return Fraction(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "gf" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "gf" else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "gf" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "gf" else -a
 
 
 def rref(rows: Iterable[Sequence], ncols: int, p: int | None) -> tuple[list[list], list[int]]:
@@ -196,10 +177,6 @@ class ExactMatrix:
         z, o = field.zero(), field.one()
         return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def column(cls, field: FieldSpec, entries: Sequence) -> "ExactMatrix":
-        return cls.from_rows(field, [[x] for x in entries])
-
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -216,18 +193,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.field.label()}, {self.rows}x{self.cols}, {self.data})"
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -252,25 +217,22 @@ class ExactMatrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field.label()} vs {other.field.label()}")
 
+    def _reduced(self, rows) -> "ExactMatrix":
+        """A matrix of this shape holding rows, reduced mod p over GF(p)."""
+        p = self.field.p
+        if p is not None:
+            rows = [[x % p for x in row] for row in rows]
+        return ExactMatrix(self.field, self.rows, self.cols, rows)
+
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix shape mismatch in addition")
-        add = self.field.add
-        return ExactMatrix(
-            self.field, self.rows, self.cols,
-            [
-                tuple(add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        return self._reduced([[a + b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self) -> "ExactMatrix":
-        neg = self.field.neg
-        return ExactMatrix(
-            self.field, self.rows, self.cols,
-            [tuple(neg(x) for x in row) for row in self.data],
-        )
+        return self._reduced([[-x for x in row] for row in self.data])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
@@ -300,11 +262,7 @@ class ExactMatrix:
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return ExactMatrix(
-            self.field, self.rows, self.cols,
-            [tuple(mul(c, x) for x in row) for row in self.data],
-        )
+        return self._reduced([[c * x for x in row] for row in self.data])
 
     # -- elimination ---------------------------------------------------------
 
@@ -321,26 +279,17 @@ class ExactMatrix:
     def nullspace_basis(self) -> list[tuple]:
         """Basis of {x : Mx = 0}, one tuple per basis vector."""
         R, pivots, rank = self.rref()
-        field = self.field
+        field, p = self.field, self.field.p
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for fc in free:
             vec = [field.zero()] * self.cols
             vec[fc] = field.one()
             for i, pc in enumerate(pivots):
-                vec[pc] = field.neg(R.data[i][fc])
+                x = -R.data[i][fc]
+                vec[pc] = x if p is None else x % p
             basis.append(tuple(vec))
         return basis
-
-    def column_space_contains(self, v: Sequence) -> bool:
-        vec = [self.field.coerce(x) for x in v]
-        if len(vec) != self.rows:
-            raise ValidationError("vector length does not match row count")
-        aug = ExactMatrix(
-            self.field, self.rows, self.cols + 1,
-            [tuple(row) + (vec[i],) for i, row in enumerate(self.data)],
-        )
-        return aug.rank() == self.rank()
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -386,12 +335,6 @@ def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
             raise ValidationError("vstack column-count mismatch")
     data = [row for m in mats for row in m.data]
     return ExactMatrix(field, sum(m.rows for m in mats), cols, data)
-
-
-def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    top = hstack([a, ExactMatrix.zeros(a.field, a.rows, b.cols)])
-    bot = hstack([ExactMatrix.zeros(a.field, b.rows, a.cols), b])
-    return vstack([top, bot])
 
 
 # -- span utilities ------------------------------------------------------------

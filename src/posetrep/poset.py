@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, DuplicateLabel, InvariantViolated, UnknownElement
+from .errors import CycleDetected, DuplicateLabel, UnknownElement
 
 
 class Poset:
@@ -144,16 +144,6 @@ def incomparables(p: Poset, a: str) -> set[str]:
     return {b for b in p.elements if b != a and not p.comparable(a, b)}
 
 
-def is_chain(p: Poset, subset: Iterable[str] | None = None) -> bool:
-    members = p.sorted_subset(subset) if subset is not None else p.elements
-    return all(p.comparable(a, b) for a, b in itertools.combinations(members, 2))
-
-
-def is_antichain(p: Poset, subset: Iterable[str]) -> bool:
-    members = p.sorted_subset(subset)
-    return all(not p.comparable(a, b) for a, b in itertools.combinations(members, 2))
-
-
 @dataclass(frozen=True)
 class Antichain:
     members: frozenset
@@ -187,68 +177,6 @@ def width(p: Poset) -> tuple[int, Antichain]:
     result = (len(best), Antichain(frozenset(best)))
     p._cache["width"] = result
     return result
-
-
-def all_antichains(p: Poset) -> list[frozenset]:
-    """Every antichain including the empty one (test-scale sizes only)."""
-    out = [frozenset()]
-    elems = p.elements
-
-    def extend(start: int, current: list[str]):
-        for i in range(start, len(elems)):
-            c = elems[i]
-            if all(not p.comparable(c, x) for x in current):
-                current.append(c)
-                out.append(frozenset(current))
-                extend(i + 1, current)
-                current.pop()
-
-    extend(0, [])
-    return out
-
-
-def chain_cover(p: Poset) -> list[tuple[str, ...]]:
-    """Partition into width(p) chains (Dilworth), each listed bottom to top.
-
-    Uses augmenting-path bipartite matching on the closed relation; the
-    deterministic scan order makes the partition reproducible.
-    """
-    if "chain_cover" in p._cache:
-        return p._cache["chain_cover"]
-    elems = p.elements
-    n = len(elems)
-    succ = {a: [b for b in elems if p.lt(a, b)] for a in elems}
-    match_right: dict[str, str] = {}  # b -> a means a is followed by b in a chain
-    match_left: dict[str, str] = {}
-
-    def try_augment(a: str, seen: set[str]) -> bool:
-        for b in succ[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or try_augment(match_right[b], seen):
-                match_right[b] = a
-                match_left[a] = b
-                return True
-        return False
-
-    for a in elems:
-        try_augment(a, set())
-
-    chains = []
-    # chain heads: elements that do not follow anything in the matching
-    heads = [a for a in elems if a not in match_right]
-    seen: set[str] = set()
-    for a in heads:
-        chain = [a]
-        while chain[-1] in match_left:
-            chain.append(match_left[chain[-1]])
-        chains.append(tuple(chain))
-        seen.update(chain)
-    if seen != set(elems):
-        raise InvariantViolated("chain cover misses elements")
-    p._cache["chain_cover"] = chains
-    return chains
 
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
@@ -440,7 +368,3 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
             best = key
             best_order = tuple(order)
     return (n, best), best_order
-
-
-def canonical_key(p: Poset, weights: Mapping[str, int] | None = None):
-    return canonical_form(p, weights)[0]

@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_SEARCH_BUDGET,
     ExactMatrix,
     FieldSpec,
-    block_diag,
     column_space_basis,
     hstack,
     resolve_budget,
@@ -215,11 +214,6 @@ def special_T(p: Poset, field: FieldSpec, a: str) -> MatrixRep:
     return MatrixRep(p, field, 0, {a: ExactMatrix.zeros(field, 0, 1)})
 
 
-def special_T0(p: Poset, field: FieldSpec) -> MatrixRep:
-    """One ambient dimension, no columns anywhere."""
-    return MatrixRep(p, field, 1, {})
-
-
 def antichain_unit_element(p: Poset, field: FieldSpec, members: Sequence[str]) -> MatrixRep:
     """d0 = 1 element with a single 1 x 1 unit block at each listed element.
 
@@ -234,26 +228,6 @@ def antichain_unit_element(p: Poset, field: FieldSpec, members: Sequence[str]) -
             raise ValidationError(f"{x!r} and {y!r} are comparable")
     one = ExactMatrix.from_rows(field, [[1]])
     return MatrixRep(p, field, 1, {m: one for m in members})
-
-
-def special_E(p: Poset, field: FieldSpec, a: str) -> MatrixRep:
-    return antichain_unit_element(p, field, [a])
-
-
-def special_E_pair(p: Poset, field: FieldSpec, pair: Sequence[str]) -> MatrixRep:
-    x, y = pair
-    if p.comparable(x, y):
-        raise ValidationError(f"{x!r}, {y!r} do not form an incomparable pair")
-    return antichain_unit_element(p, field, [x, y])
-
-
-def direct_sum(u: MatrixRep, v: MatrixRep) -> MatrixRep:
-    if u.poset != v.poset:
-        raise ValidationError("direct sum over different posets")
-    if u.field != v.field:
-        raise FieldMismatch("direct sum over different fields")
-    blocks = {a: block_diag(u.blocks[a], v.blocks[a]) for a in u.poset.elements}
-    return MatrixRep(u.poset, u.field, u.d0 + v.d0, blocks)
 
 
 # -- morphisms ------------------------------------------------------------------------
@@ -285,36 +259,6 @@ class ElMorphism:
             {a: m + other.phi_diag[a] for a, m in self.phi_diag.items()},
             {k: m + other.phi_tri[k] for k, m in self.phi_tri.items()},
         )
-
-
-def el_morphism_satisfies(phi: ElMorphism, u: MatrixRep, v: MatrixRep) -> bool:
-    """Check the defining block equations of a morphism u -> v."""
-    p = u.poset
-    for a in p.elements:
-        lhs = phi.phi0 @ u.blocks[a]
-        rhs = v.blocks[a] @ phi.phi_diag[a]
-        for b in strict_lower_cone(p, a):
-            rhs = rhs + v.blocks[b] @ phi.phi_tri[(b, a)]
-        if lhs != rhs:
-            return False
-    return True
-
-
-def compose(psi: ElMorphism, phi: ElMorphism, poset: Poset) -> ElMorphism:
-    """psi after phi, with the triangular convolution on the lower parts."""
-    phi0 = psi.phi0 @ phi.phi0
-    diag = {a: psi.phi_diag[a] @ phi.phi_diag[a] for a in poset.elements}
-    tri = {}
-    for (b, a), m in phi.phi_tri.items():
-        tri[(b, a)] = psi.phi_tri[(b, a)] @ phi.phi_diag[a] + psi.phi_diag[b] @ m
-    for a in poset.elements:
-        for b in strict_lower_cone(poset, a):
-            acc = tri[(b, a)]
-            for c in strict_lower_cone(poset, a):
-                if poset.lt(b, c):
-                    acc = acc + psi.phi_tri[(b, c)] @ phi.phi_tri[(c, a)]
-            tri[(b, a)] = acc
-    return ElMorphism(phi0, diag, tri)
 
 
 def _hom_slots(u: MatrixRep, v: MatrixRep):
@@ -360,31 +304,26 @@ def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
         raise ValidationError("hom between elements over different posets")
     if u.field != v.field:
         raise FieldMismatch("hom between elements over different fields")
-    p, field = u.poset, u.field
+    p, field, q = u.poset, u.field, u.field.p
     slots, offsets, total = _hom_slots(u, v)
     zero = field.zero()
+    off0 = offsets[("0", None)]
     rows = []
     for a in p.elements:
         Ma = u.blocks[a]
-        Va = v.blocks[a]
-        lowers = [b for b in p.elements if p.lt(b, a)]
+        # each unknown occurs once per equation: +M(a) on phi0, -M'(b) on
+        # phi(a) and on each phi(ba)
+        targets = [(offsets[("diag", a)], v.blocks[a])]
+        targets += [(offsets[("tri", (b, a))], v.blocks[b])
+                    for b in p.elements if p.lt(b, a)]
         for i in range(v.d0):
             for j in range(Ma.cols):
                 row = [zero] * total
-                off0 = offsets[("0", None)]
                 for k in range(u.d0):
-                    row[off0 + i * u.d0 + k] = field.add(row[off0 + i * u.d0 + k],
-                                                         Ma.data[k][j])
-                offd = offsets[("diag", a)]
-                for k in range(Va.cols):
-                    row[offd + k * Ma.cols + j] = field.sub(
-                        row[offd + k * Ma.cols + j], Va.data[i][k])
-                for b in lowers:
-                    Vb = v.blocks[b]
-                    offt = offsets[("tri", (b, a))]
-                    for k in range(Vb.cols):
-                        row[offt + k * Ma.cols + j] = field.sub(
-                            row[offt + k * Ma.cols + j], Vb.data[i][k])
+                    row[off0 + i * u.d0 + k] = Ma.data[k][j]
+                for off, Vb in targets:
+                    for k, x in enumerate(Vb.data[i]):
+                        row[off + k * Ma.cols + j] = -x if q is None else -x % q
                 rows.append(row)
     if not rows:
         system = ExactMatrix.zeros(field, 0, total)
@@ -401,43 +340,6 @@ def end_dimension(u: MatrixRep) -> int:
     return len(el_hom_basis(u, u))
 
 
-def end_algebra(u: MatrixRep):
-    """Basis of End(u) and structure constants of its multiplication.
-
-    Returns (basis, table) with table[i][j] the coordinates of basis[i]∘basis[j].
-    """
-    basis = el_hom_basis(u, u)
-    slots, offsets, total = _hom_slots(u, u)
-
-    def flatten(m: ElMorphism):
-        vec = [u.field.zero()] * total
-        def put(mat, off):
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    vec[off + i * mat.cols + j] = mat.data[i][j]
-        put(m.phi0, offsets[("0", None)])
-        for a, mat in m.phi_diag.items():
-            put(mat, offsets[("diag", a)])
-        for k, mat in m.phi_tri.items():
-            put(mat, offsets[("tri", k)])
-        return vec
-
-    if not basis:
-        return [], []
-    cols = [flatten(m) for m in basis]
-    bmat = ExactMatrix(u.field, total, len(cols),
-                       [tuple(c[i] for c in cols) for i in range(total)])
-    table = []
-    for mi in basis:
-        row = []
-        for mj in basis:
-            prod = compose(mi, mj, u.poset)
-            coords = solve_columns(bmat, ExactMatrix.column(u.field, flatten(prod)))
-            row.append(tuple(coords.data[k][0] for k in range(len(basis))))
-        table.append(row)
-    return basis, table
-
-
 @dataclass(frozen=True)
 class RepMorphism:
     """Ambient linear map carrying each subspace into its counterpart."""
@@ -451,23 +353,21 @@ def rep_hom_basis(v: SubspaceRep, w: SubspaceRep) -> list[RepMorphism]:
         raise ValidationError("hom between representations over different posets")
     if v.field != w.field:
         raise FieldMismatch("hom between representations over different fields")
-    field = v.field
-    n_unknowns = w.ambient_dim * v.ambient_dim
+    field, p, n = v.field, v.field.p, v.ambient_dim
+    n_unknowns = w.ambient_dim * n
     zero = field.zero()
     rows = []
     for a in v.poset.elements:
-        B = v.subspaces[a]
+        columns = v.subspaces[a].transpose().data
         annihilator = w.subspaces[a].transpose().nullspace_basis()
+        # y^T f b = 0 for y in the annihilator of W(a), b a basis column of V(a)
         for y in annihilator:
-            for c in range(B.cols):
+            for b in columns:
                 row = [zero] * n_unknowns
-                for i in range(w.ambient_dim):
-                    if not y[i]:
-                        continue
-                    for j in range(v.ambient_dim):
-                        row[i * v.ambient_dim + j] = field.add(
-                            row[i * v.ambient_dim + j],
-                            field.mul(y[i], B.data[j][c]))
+                for i, yi in enumerate(y):
+                    if yi:
+                        row[i * n:(i + 1) * n] = ([yi * x for x in b] if p is None
+                                                  else [yi * x % p for x in b])
                 rows.append(row)
     system = (ExactMatrix(field, len(rows), n_unknowns, rows)
               if rows else ExactMatrix.zeros(field, 0, n_unknowns))
@@ -731,16 +631,3 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
         if cand is not None and cand.is_invertible():
             return cand
     raise UndecidableAtBudget("summands match but no certificate was found")
-
-
-def is_quite_sincere(v: SubspaceRep, budget: int | None = None) -> bool:
-    """Indecomposable, with V(a) proper and strictly above its lower sum, all a."""
-    if v.ambient_dim == 0:
-        return False
-    for a in v.poset.elements:
-        if v.dim(a) == v.ambient_dim:
-            return False
-        if v.dim(a) == v.below_sum(a).cols:
-            return False
-    basis = [m.f for m in rep_hom_basis(v, v)]
-    return _find_splitting_idempotent(basis, v.ambient_dim, v.field, budget) is None

@@ -54,11 +54,6 @@ class DimensionVector:
         subset = set(subset)
         return DimensionVector(self.d0, {a: v for a, v in self.values.items() if a in subset})
 
-    def le(self, other: "DimensionVector") -> bool:
-        if self.d0 > other.d0:
-            return False
-        return all(v <= other.get(a) for a, v in self.values.items())
-
     def key(self):
         return (self.d0, tuple(sorted(self.values.items())))
 

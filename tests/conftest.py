@@ -1,4 +1,5 @@
-"""Shared helpers: poset catalogs, random generators, small oracles."""
+"""Shared helpers: poset catalogs, random generators, small oracles, and the
+order and morphism checks the tests make outside the library."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import pytest
 
 import posetrep as pr
 from posetrep.classify import _all_dimensions as all_dimensions  # noqa: F401
-from posetrep.poset import Poset, canonical_key
+from posetrep.linalg import ExactMatrix, hstack, vstack
+from posetrep.poset import Poset, canonical_form, strict_lower_cone
 
 
 def all_posets_upto(n: int) -> list[Poset]:
@@ -30,7 +32,7 @@ def all_posets_upto(n: int) -> list[Poset]:
                 continue
             p = Poset(labels, [(labels[i], labels[j])
                                for i in range(size) for j in range(size) if lt[i][j]])
-            key = canonical_key(p)
+            key = canonical_form(p)[0]
             if key not in seen:
                 seen.add(key)
                 out.append(p)
@@ -45,6 +47,91 @@ def _transitive(lt, size) -> bool:
                     if lt[j][k] and not lt[i][k]:
                         return False
     return True
+
+
+def is_chain(p: Poset, subset=None) -> bool:
+    members = p.sorted_subset(subset) if subset is not None else p.elements
+    return all(p.comparable(a, b) for a, b in itertools.combinations(members, 2))
+
+
+def is_antichain(p: Poset, subset) -> bool:
+    members = p.sorted_subset(subset)
+    return all(not p.comparable(a, b) for a, b in itertools.combinations(members, 2))
+
+
+def all_antichains(p: Poset) -> list[frozenset]:
+    """Every antichain including the empty one."""
+    out = [frozenset()]
+    for r in range(1, len(p) + 1):
+        out += [frozenset(c) for c in itertools.combinations(p.elements, r)
+                if is_antichain(p, c)]
+    return out
+
+
+def chain_cover(p: Poset) -> list[tuple[str, ...]]:
+    """Partition into width(p) chains (Dilworth), each listed bottom to top,
+    by augmenting-path bipartite matching on the closed relation."""
+    succ = {a: [b for b in p.elements if p.lt(a, b)] for a in p.elements}
+    match_right: dict[str, str] = {}  # b -> a means a is followed by b in a chain
+    match_left: dict[str, str] = {}
+
+    def try_augment(a: str, seen: set[str]) -> bool:
+        for b in succ[a]:
+            if b in seen:
+                continue
+            seen.add(b)
+            if b not in match_right or try_augment(match_right[b], seen):
+                match_right[b] = a
+                match_left[a] = b
+                return True
+        return False
+
+    for a in p.elements:
+        try_augment(a, set())
+    chains = []
+    for a in p.elements:
+        if a not in match_right:  # a chain head
+            chain = [a]
+            while chain[-1] in match_left:
+                chain.append(match_left[chain[-1]])
+            chains.append(tuple(chain))
+    return chains
+
+
+def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    top = hstack([a, ExactMatrix.zeros(a.field, a.rows, b.cols)])
+    bot = hstack([ExactMatrix.zeros(a.field, b.rows, a.cols), b])
+    return vstack([top, bot])
+
+
+def direct_sum(u: pr.MatrixRep, v: pr.MatrixRep) -> pr.MatrixRep:
+    blocks = {a: block_diag(u.blocks[a], v.blocks[a]) for a in u.poset.elements}
+    return pr.MatrixRep(u.poset, u.field, u.d0 + v.d0, blocks)
+
+
+def el_morphism_satisfies(phi: pr.ElMorphism, u: pr.MatrixRep, v: pr.MatrixRep) -> bool:
+    """The defining block equations of a morphism u -> v."""
+    p = u.poset
+    for a in p.elements:
+        rhs = v.blocks[a] @ phi.phi_diag[a]
+        for b in strict_lower_cone(p, a):
+            rhs = rhs + v.blocks[b] @ phi.phi_tri[(b, a)]
+        if phi.phi0 @ u.blocks[a] != rhs:
+            return False
+    return True
+
+
+def compose(psi: pr.ElMorphism, phi: pr.ElMorphism, poset: Poset) -> pr.ElMorphism:
+    """psi after phi, with the triangular convolution on the lower parts."""
+    diag = {a: psi.phi_diag[a] @ phi.phi_diag[a] for a in poset.elements}
+    tri = {}
+    for (b, a), m in phi.phi_tri.items():
+        acc = psi.phi_tri[(b, a)] @ phi.phi_diag[a] + psi.phi_diag[b] @ m
+        for c in strict_lower_cone(poset, a):
+            if poset.lt(b, c):
+                acc = acc + psi.phi_tri[(b, c)] @ phi.phi_tri[(c, a)]
+        tri[(b, a)] = acc
+    return pr.ElMorphism(psi.phi0 @ phi.phi0, diag, tri)
 
 
 def random_element(poset: Poset, rng: random.Random, field=None,

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import posetrep as pr
-from posetrep.poset import canonical_key
+from posetrep.poset import canonical_form
 from posetrep.reps import rep_decompose, rep_end_dimension, stacked_lower_blocks
 
 from conftest import (
@@ -35,7 +35,7 @@ def criterion3_posets(kposet):
     seen = set()
     for combo in itertools.combinations(kposet.elements, 5):
         sp = pr.induced_subposet(kposet, combo)
-        key = canonical_key(sp)
+        key = canonical_form(sp)[0]
         if key not in seen:
             seen.add(key)
             subs.append(sp)

@@ -27,7 +27,8 @@ def test_count_two_antichain_unit():
     assert pr.count_iso_classes(a2, D(1, x=1, y=1), F2) == 1
     found = pr.brute_force_indecomposables(a2, D(1, x=1, y=1), F2)
     assert len(found) == 1
-    assert pr.are_isomorphic(found[0], pr.special_E_pair(a2, F2, ("x", "y"))) is not None
+    pair = pr.antichain_unit_element(a2, F2, ["x", "y"])
+    assert pr.are_isomorphic(found[0], pair) is not None
 
 
 def test_el_count_trivial_dimensions(a3):
@@ -48,6 +49,13 @@ def test_census_entry_points_validate_alike(d0):
                 entry(a2, bad, F2)
         with pytest.raises(pr.FieldTooRestrictive):
             entry(a2, D(d0, a=1), pr.QQ)
+        for negative in (D(d0, a=-1), D(d0 + 2, a=-1), D(d0, a=1, b=-1), D(-2, a=1),
+                         D(-d0 - 1)):
+            with pytest.raises(pr.ValidationError):
+                entry(a2, negative, F2)
+    assert (2, -2) not in classify._SPACES
+    with pytest.raises(pr.ValidationError):
+        pr.construct_indecomposable(a2, D(d0, a=-1), F2)
 
 
 def test_brute_force_three_lines(a3):
@@ -134,7 +142,7 @@ def test_construct_non_root_returns_none(a3):
 def test_construct_base_cases(a3):
     single = pr.build_poset(["a"], [])
     e = pr.construct_indecomposable(single, D(1, a=1), F2)
-    assert pr.are_isomorphic(e, pr.special_E(single, F2, "a")) is not None
+    assert pr.are_isomorphic(e, pr.antichain_unit_element(single, F2, ["a"])) is not None
     t = pr.construct_indecomposable(a3, D(0, x=1), F2)
     assert pr.dimension_of(t) == D(0, x=1)
     t0 = pr.construct_indecomposable(a3, D(1), F2)

@@ -77,7 +77,7 @@ def test_differentiate_zero_pivot(a3, a3ctx):
 
 def test_differentiate_unit_element():
     single = pr.build_poset(["a"], [])
-    v = pr.rho(pr.special_E(single, F2, "a"))
+    v = pr.rho(pr.antichain_unit_element(single, F2, ["a"]))
     ctx = pr.derive_poset(single, "a")
     d = pr.differentiate(v, "a", ctx)
     assert d.ambient_dim == 1 and d.poset.elements == ()

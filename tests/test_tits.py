@@ -6,7 +6,7 @@ import random
 import pytest
 
 import posetrep as pr
-from posetrep.poset import canonical_key
+from posetrep.poset import canonical_form
 
 from conftest import all_dimensions
 
@@ -171,7 +171,7 @@ def test_scan_agrees_on_six_element_posets():
             p = pr.build_poset(labels, rels)
         except pr.CycleDetected:
             continue
-        key = canonical_key(p)
+        key = canonical_form(p)[0]
         if key in seen:
             continue
         seen.add(key)

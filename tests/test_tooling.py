@@ -1,14 +1,18 @@
-"""The benchmark's traced mode looks up library names by string; an API cut
-that drops one of them must fail here, not only under `--trace 1`."""
+"""Names that live outside the library's own code: the benchmark's traced
+mode looks them up by string, and the README's library example calls them.
+An API cut that drops one of them must fail here."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import posetrep as pr
 from posetrep.linalg import ExactMatrix
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -22,3 +26,26 @@ def test_traced_names_resolve():
     # the elimination spans wrap this method and split it by field kind
     assert callable(ExactMatrix.rref)
     assert pr.GF(2).kind == "gf" and pr.QQ.kind != "gf"
+
+
+def test_readme_library_example():
+    """The python block under `## Library` runs, and each line whose comment
+    starts with a literal evaluates to that literal."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        claim = re.match(r"\s*(\w+)", comment)
+        if "=" in code or claim is None:
+            continue
+        try:
+            expected = ast.literal_eval(claim.group(1))
+        except ValueError:
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked >= 4
