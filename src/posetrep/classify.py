@@ -38,7 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref
-from .poset import Poset, canonical_form, induced_subposet, maximal_elements
+from .poset import (Poset, canonical_form, induced_subposet, maximal_elements,
+                    strict_lower_cone)
 from .reps import (
     MatrixRep,
     SubspaceRep,
@@ -297,7 +298,7 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     as the full count would pass the budget.
     """
     elems = poset.elements
-    below = {a: [b for b in elems if poset.lt(b, a)] for a in elems}
+    below = {a: poset.sorted_subset(strict_lower_cone(poset, a)) for a in elems}
     order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
     if not order:
         return [()], space.zero_id, 1
@@ -469,11 +470,13 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
 
 
 def _canonical_support(poset: Poset, d: DimensionVector):
-    """(canonical order, canonical relations) of the support weighted by d.
+    """(canonical order, canonical relations, canonical values) of the support
+    weighted by d.
 
     Memoized in poset._cache per weighted support, so every d0 over the same
-    weights shares one canonical_form call.  Only the order and the relation
-    set are kept, not the subposet itself.
+    weights shares one canonical_form call.  Only the order, the relation set
+    and the sorted (position label, value) items of the relabelled d are kept,
+    not the subposet itself.
     """
     memo = poset._cache.setdefault("canonical_support", {})
     weights = tuple(d.get(a) for a in poset.elements)
@@ -483,7 +486,8 @@ def _canonical_support(poset: Poset, d: DimensionVector):
         _, order = canonical_form(sub, {a: d.get(a) for a in sub.elements})
         pos = {a: i for i, a in enumerate(order)}
         rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
-        got = memo[weights] = (order, rels)
+        dc = DimensionVector(0, {str(i): d.get(a) for i, a in enumerate(order)})
+        got = memo[weights] = (order, rels, dc.key()[1])
     return got
 
 
@@ -506,15 +510,15 @@ def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
     _check_nonnegative(d)
     if d.d0 == 0:
         return _CensusCore(0 if d.support() else 1, (), 0), ()
-    order, rels = _canonical_support(poset, d)
-    dc = DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
-    key = (len(order), rels, dc.key(), field.p)
+    order, rels, values = _canonical_support(poset, d)
+    key = (len(order), rels, (d.d0, values), field.p)
     core = _CENSUS_CACHE.get(key)
     if core is None:
         with _LOCK:
             core = _CENSUS_CACHE.get(key)
             if core is None:
                 canon = Poset([str(i) for i in range(len(order))], rels)
+                dc = DimensionVector(d.d0, dict(values))
                 core = _CENSUS_CACHE[key] = _census_core(canon, dc, field.p, budget)
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
@@ -643,8 +647,9 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec) -> Ma
         if any(d.get(a) != 1 for a in members):
             raise InvariantViolated(f"root {d} with one row has an entry above 1")
         return antichain_unit_element(poset, field, members)
+    maxes = maximal_elements(poset)
     for a in poset.elements:
-        if a not in maximal_elements(poset):
+        if a not in maxes:
             continue
         context = derive_poset(poset, a)
         derived = context.result

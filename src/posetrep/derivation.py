@@ -25,6 +25,7 @@ from .poset import (
     Poset,
     build_poset,
     incomparables,
+    lower_cone,
     maximal_elements,
     strict_lower_cone,
 )
@@ -63,10 +64,10 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
     case the maximal member becomes p''.
     """
     p.check_element(a)
-    if a not in maximal_elements(p):
-        raise NotMaximal(f"{a!r} is not maximal")
-    theta = [b for b in p.elements if b in incomparables(p, a)]
     maxes = maximal_elements(p)
+    if a not in maxes:
+        raise NotMaximal(f"{a!r} is not maximal")
+    theta = p.sorted_subset(incomparables(p, a))
     marks = []
     for b, c in itertools.combinations(theta, 2):
         if p.comparable(b, c):
@@ -78,25 +79,20 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
             prime, second = b, c
         marks.append(PairMark(pair_label(b, c), (b, c), prime, second))
 
-    member_sets: dict[str, tuple[str, ...]] = {
-        x: (x,) for x in p.elements if x != a
-    }
+    member_sets: dict[str, tuple[str, ...]] = {x: (x,) for x in p.elements if x != a}
     provenance: dict[str, tuple] = {x: ("element", x) for x in p.elements if x != a}
     for pm in marks:
         member_sets[pm.label] = pm.members
         provenance[pm.label] = ("pair", pm.members)
 
     elements = [x for x in p.elements if x != a] + [pm.label for pm in marks]
+    cones = {y: lower_cone(p, y) for y in p.elements}
 
     def dominated(bs: tuple[str, ...], cs: tuple[str, ...]) -> bool:
-        return all(any(p.le(x, y) for y in cs) for x in bs)
+        return all(any(x in cones[y] for y in cs) for x in bs)
 
-    relations = [
-        (B, C)
-        for B in elements
-        for C in elements
-        if B != C and dominated(member_sets[B], member_sets[C])
-    ]
+    relations = [(B, C) for B in elements for C in elements
+                 if B != C and dominated(member_sets[B], member_sets[C])]
     result = build_poset(elements, relations)
     return DerivedPoset(p, a, tuple(marks), result, provenance)
 
@@ -221,8 +217,8 @@ def subordinate_dimensions(context: DerivedPoset,
     feasibility window for the rank of the blocks below a.
     """
     p, a = context.base, context.pivot
-    delta_prime = strict_lower_cone(p, a)
-    theta = [b for b in p.elements if b in incomparables(p, a)]
+    delta_prime = p.sorted_subset(strict_lower_cone(p, a))
+    theta = p.sorted_subset(incomparables(p, a))
     pairs = list(context.pairs)
     da = d.get(a)
     out = []
@@ -273,13 +269,10 @@ class ExceptionalSet:
 
 
 def exceptional_set(p: Poset, a: str) -> ExceptionalSet:
-    p.check_element(a)
-    if a not in maximal_elements(p):
-        raise NotMaximal(f"{a!r} is not maximal")
-    theta = [b for b in p.elements if b in incomparables(p, a)]
-    singles = {b: DimensionVector(1, {b: 1}) for b in theta}
-    pairs = {}
-    for b, c in itertools.combinations(theta, 2):
-        if not p.comparable(b, c):
-            pairs[(b, c)] = DimensionVector(1, {b: 1, c: 1})
+    """T0, E_b for each b in Θ(a) and E_{b,c} for each pair adjoined by
+    derive_poset(p, a), in its order."""
+    context = derive_poset(p, a)
+    singles = {b: DimensionVector(1, {b: 1}) for b in p.sorted_subset(incomparables(p, a))}
+    pairs = {pm.members: DimensionVector(1, dict.fromkeys(pm.members, 1))
+             for pm in context.pairs}
     return ExceptionalSet(a, DimensionVector(1, {}), singles, pairs)

@@ -14,7 +14,7 @@ from .classify import ClassificationReport
 from .derivation import DerivedPoset, PairMark
 from .errors import ValidationError
 from .linalg import QQ, ExactMatrix, FieldSpec, GF
-from .poset import Poset, build_poset
+from .poset import Poset, build_poset, strict_lower_cone
 from .reps import MatrixRep
 from .tits import DimensionVector
 
@@ -38,10 +38,8 @@ def _json_object(obj: dict, key: str) -> dict:
 
 
 def _covers(p: Poset) -> list[list[str]]:
-    out = []
-    for a, b in p.relation_pairs():
-        if not any(p.lt(a, c) and p.lt(c, b) for c in p.elements):
-            out.append([a, b])
+    below = {x: strict_lower_cone(p, x) for x in p.elements}
+    out = [[a, b] for a, b in p.relation_pairs() if not any(a in below[c] for c in below[b])]
     out.sort(key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
     return out
 

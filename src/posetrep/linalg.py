@@ -390,15 +390,16 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     return ExactMatrix(field, a.cols, b.cols, sol)
 
 
-def complete_to_full_rank(m: ExactMatrix) -> ExactMatrix:
-    """Greedy standard-basis completion.
+def _independent_columns(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
+    """The columns of right outside the span of left and of the right columns
+    before them: right's pivot columns in rref([left | right])."""
+    rows = [x + y for x, y in zip(left.data, right.data)]
+    _, pivots = rref(rows, left.cols + right.cols, right.field.p)
+    return right.take_columns(c - left.cols for c in pivots if c >= left.cols)
 
-    Returns C with independent columns such that rank [m | C] = rows(m) and
-    C has rows(m) - rank(m) columns.  Deterministic: C holds each standard
-    basis vector outside the span of m and of the vectors before it, in
-    index order, which are the identity's pivot columns in rref([m | I]).
-    """
-    ident = ExactMatrix.identity(m.field, m.rows)
-    rows = [x + y for x, y in zip(m.data, ident.data)]
-    _, pivots = rref(rows, m.cols + m.rows, m.field.p)
-    return ident.take_columns(c - m.cols for c in pivots if c >= m.cols)
+
+def complete_to_full_rank(m: ExactMatrix) -> ExactMatrix:
+    """Greedy standard-basis completion: C with rank [m | C] = rows(m) and
+    rows(m) - rank(m) independent columns, each standard basis vector outside
+    the span of m and of the vectors before it, in index order."""
+    return _independent_columns(m, ExactMatrix.identity(m.field, m.rows))

@@ -1,8 +1,9 @@
 """Finite posets and the order combinatorics used by the classification.
 
-Elements are opaque string labels; the strict order is stored transitively
-closed.  All querying operations are pure and results are cached on the
-poset, which is immutable after construction.
+Elements are opaque string labels.  A poset owns its order: it stores each
+element's strict down-set and up-set, and every cone, comparability and
+maximality question in the package is answered from these tables.  Queries
+are pure and cached on the poset, which is immutable after construction.
 """
 
 from __future__ import annotations
@@ -11,27 +12,48 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CycleDetected, DuplicateLabel, UnknownElement
+from .errors import CycleDetected, DuplicateLabel, UnknownElement, ValidationError
 
 
 class Poset:
-    """Finite strict partial order, transitively closed at construction."""
+    """Finite strict partial order with its tables _down[a] and _up[a], the
+    frozensets of elements strictly below and strictly above a.
 
-    __slots__ = ("elements", "_index", "_lt", "_cache")
+    The pairs must be transitively closed (build_poset closes generating
+    relations): a pair given with its reverse raises CycleDetected, and an
+    unclosed relation raises ValidationError.
+    """
+
+    __slots__ = ("elements", "_index", "_lt", "_down", "_up", "_cache")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise DuplicateLabel("element labels must be pairwise distinct")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(elements)})
-        object.__setattr__(self, "_lt", frozenset(lt_pairs))
-        object.__setattr__(self, "_cache", {})
-        for a, b in self._lt:
-            if a not in self._index or b not in self._index:
+        index = {a: i for i, a in enumerate(elements)}
+        lt = frozenset(lt_pairs)
+        down: dict[str, set[str]] = {a: set() for a in elements}
+        up: dict[str, set[str]] = {a: set() for a in elements}
+        for a, b in lt:
+            if a not in index or b not in index:
                 raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
             if a == b:
                 raise CycleDetected(f"irreflexivity violated at {a}")
+            if (b, a) in lt:
+                raise CycleDetected(f"cycle through {a} and {b}")
+            down[b].add(a)
+            up[a].add(b)
+        for a, b in lt:
+            if not up[b] <= up[a]:
+                raise ValidationError(
+                    f"relation is not transitively closed at ({a},{b}); "
+                    "use build_poset to close generating relations")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lt", lt)
+        object.__setattr__(self, "_down", {a: frozenset(s) for a, s in down.items()})
+        object.__setattr__(self, "_up", {a: frozenset(s) for a, s in up.items()})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *args):
         raise AttributeError("Poset is immutable")
@@ -67,13 +89,17 @@ class Poset:
     def lt(self, a: str, b: str) -> bool:
         self.check_element(a)
         self.check_element(b)
-        return (a, b) in self._lt
+        return b in self._up[a]
 
     def le(self, a: str, b: str) -> bool:
-        return a == b and a in self or self.lt(a, b)
+        self.check_element(a)
+        self.check_element(b)
+        return a == b or b in self._up[a]
 
     def comparable(self, a: str, b: str) -> bool:
-        return a == b or self.lt(a, b) or self.lt(b, a)
+        self.check_element(a)
+        self.check_element(b)
+        return a == b or b in self._up[a] or b in self._down[a]
 
     def relation_pairs(self) -> frozenset[tuple[str, str]]:
         return self._lt
@@ -94,54 +120,44 @@ def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> 
     elements = tuple(str(e) for e in elements)
     if len(set(elements)) != len(elements):
         raise DuplicateLabel("element labels must be pairwise distinct")
-    index = {a: i for i, a in enumerate(elements)}
-    n = len(elements)
-    lt = [[False] * n for _ in range(n)]
+    up: dict[str, set[str]] = {a: set() for a in elements}
     for rel in relations:
         a, b = rel
-        if a not in index or b not in index:
+        if a not in up or b not in up:
             raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
         if a == b:
             raise CycleDetected(f"self-relation at {a}")
-        lt[index[a]][index[b]] = True
-    # Floyd-Warshall closure; n stays tiny by the package's scope.
-    for k in range(n):
-        lk = lt[k]
-        for i in range(n):
-            if lt[i][k]:
-                li = lt[i]
-                for j in range(n):
-                    if lk[j]:
-                        li[j] = True
-    pairs = []
-    for i in range(n):
-        if lt[i][i]:
-            raise CycleDetected(f"cycle through {elements[i]}")
-        for j in range(n):
-            if lt[i][j]:
-                pairs.append((elements[i], elements[j]))
-    return Poset(elements, pairs)
+        up[a].add(b)
+    # Warshall closure on up-sets; n stays tiny by the package's scope.
+    for k in elements:
+        for a in elements:
+            if k in up[a]:
+                up[a] |= up[k]
+    for a in elements:
+        if a in up[a]:
+            raise CycleDetected(f"cycle through {a}")
+    return Poset(elements, [(a, b) for a in elements for b in up[a]])
 
 
 # -- cone / comparability queries ------------------------------------------------
 
 
 def maximal_elements(p: Poset) -> set[str]:
-    return {a for a in p.elements if not any(p.lt(a, b) for b in p.elements)}
+    return {a for a in p.elements if not p._up[a]}
 
 
-def lower_cone(p: Poset, a: str) -> set[str]:
+def strict_lower_cone(p: Poset, a: str) -> frozenset[str]:
     p.check_element(a)
-    return {b for b in p.elements if p.le(b, a)}
+    return p._down[a]
 
 
-def strict_lower_cone(p: Poset, a: str) -> set[str]:
-    return lower_cone(p, a) - {a}
+def lower_cone(p: Poset, a: str) -> frozenset[str]:
+    return strict_lower_cone(p, a) | {a}
 
 
 def incomparables(p: Poset, a: str) -> set[str]:
     p.check_element(a)
-    return {b for b in p.elements if b != a and not p.comparable(a, b)}
+    return set(p.elements) - p._down[a] - p._up[a] - {a}
 
 
 @dataclass(frozen=True)
@@ -181,8 +197,7 @@ def width(p: Poset) -> tuple[int, Antichain]:
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
     members = p.sorted_subset(subset)
-    pairs = [(a, b) for a in members for b in members if p.lt(a, b)]
-    return Poset(members, pairs)
+    return Poset(members, [(a, b) for a in members for b in p._up[a] if b in members])
 
 
 # -- critical posets ----------------------------------------------------------------
@@ -240,6 +255,7 @@ class CriticalEmbedding:
 def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
     """All injective maps preserving and reflecting the strict order."""
     pat = pattern.elements
+    pdown, pup, hdown, hup = pattern._down, pattern._up, host._down, host._up
     out: list[dict[str, str]] = []
 
     def backtrack(i: int, assigned: dict[str, str], used: set[str]):
@@ -250,12 +266,9 @@ def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
         for h in host.elements:
             if h in used:
                 continue
-            ok = True
-            for y, hy in assigned.items():
-                if pattern.lt(x, y) != host.lt(h, hy) or pattern.lt(y, x) != host.lt(hy, h):
-                    ok = False
-                    break
-            if ok:
+            below, above = hdown[h], hup[h]
+            if all((y in pdown[x]) == (hy in below) and (y in pup[x]) == (hy in above)
+                   for y, hy in assigned.items()):
                 assigned[x] = h
                 used.add(h)
                 backtrack(i + 1, assigned, used)
@@ -309,7 +322,7 @@ def is_semidecomposable(p: Poset):
         for mask in range(1, (1 << m) - 1):
             s1 = [rest[i] for i in range(m) if mask >> i & 1]
             s2 = [rest[i] for i in range(m) if not mask >> i & 1]
-            if all(p.lt(b, a) for a in s1 for b in s2):
+            if all(b in p._down[a] for a in s1 for b in s2):
                 return (
                     tuple(p.sorted_subset(s1)),
                     tuple(p.sorted_subset(s2)),
@@ -334,12 +347,7 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
     wt = {a: (weights.get(a, 0) if weights else 0) for a in elems}
 
     pairs = p.relation_pairs()
-    below: dict[str, list[str]] = {a: [] for a in elems}
-    above: dict[str, list[str]] = {a: [] for a in elems}
-    for a, b in pairs:
-        below[b].append(a)
-        above[a].append(b)
-
+    below, above = p._down, p._up
     inv = {a: (wt[a], len(below[a]), len(above[a])) for a in elems}
     for _ in range(2):
         inv = {

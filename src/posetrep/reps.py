@@ -27,11 +27,11 @@ from .linalg import (
     column_space_basis,
     hstack,
     resolve_budget,
-    rref,
     solve_columns,
     span_contains,
+    _independent_columns,
 )
-from .poset import Poset, strict_lower_cone
+from .poset import Poset, lower_cone, strict_lower_cone
 from .tits import DimensionVector
 
 
@@ -101,7 +101,7 @@ def dimension_of(u: MatrixRep) -> DimensionVector:
 
 def stacked_lower_blocks(u: MatrixRep, a: str, strict: bool = False) -> ExactMatrix:
     """The blocks M(b) for b ⪯ a (or b ≺ a) side by side, in element order."""
-    cone = strict_lower_cone(u.poset, a) if strict else strict_lower_cone(u.poset, a) | {a}
+    cone = strict_lower_cone(u.poset, a) if strict else lower_cone(u.poset, a)
     mats = [ExactMatrix.zeros(u.field, u.d0, 0)]
     mats += [u.blocks[b] for b in u.poset.elements if b in cone]
     return hstack(mats)
@@ -147,9 +147,9 @@ class SubspaceRep:
         return self.subspace(a).cols
 
     def below_sum(self, a: str) -> ExactMatrix:
+        cone = strict_lower_cone(self.poset, a)
         mats = [ExactMatrix.zeros(self.field, self.ambient_dim, 0)]
-        mats += [self.subspaces[b] for b in self.poset.elements
-                 if b in strict_lower_cone(self.poset, a)]
+        mats += [self.subspaces[b] for b in self.poset.elements if b in cone]
         return column_space_basis(hstack(mats))
 
     def dimension_vector(self) -> DimensionVector:
@@ -183,14 +183,6 @@ def rho(u: MatrixRep) -> SubspaceRep:
     """V(a) = column span of the blocks at or below a."""
     subs = {a: column_space_basis(stacked_lower_blocks(u, a)) for a in u.poset.elements}
     return SubspaceRep(u.poset, u.field, u.d0, subs)
-
-
-def _independent_columns(below: ExactMatrix, block: ExactMatrix) -> ExactMatrix:
-    """The columns of block outside the span of below and of the block
-    columns before them: the block's pivot columns in rref([below | block])."""
-    rows = [x + y for x, y in zip(below.data, block.data)]
-    _, pivots = rref(rows, below.cols + block.cols, block.field.p)
-    return block.take_columns(c - below.cols for c in pivots if c >= below.cols)
 
 
 def lift(v: SubspaceRep) -> MatrixRep:
@@ -268,9 +260,8 @@ def _hom_slots(u: MatrixRep, v: MatrixRep):
     for a in p.elements:
         slots.append(("diag", a, v.cols(a), u.cols(a)))
     for a in p.elements:
-        for b in p.elements:
-            if p.lt(b, a):
-                slots.append(("tri", (b, a), v.cols(b), u.cols(a)))
+        slots += [("tri", (b, a), v.cols(b), u.cols(a))
+                  for b in p.sorted_subset(strict_lower_cone(p, a))]
     offsets = {}
     total = 0
     for kind, key, r, c in slots:
@@ -315,7 +306,7 @@ def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
         # phi(a) and on each phi(ba)
         targets = [(offsets[("diag", a)], v.blocks[a])]
         targets += [(offsets[("tri", (b, a))], v.blocks[b])
-                    for b in p.elements if p.lt(b, a)]
+                    for b in p.sorted_subset(strict_lower_cone(p, a))]
         for i in range(v.d0):
             for j in range(Ma.cols):
                 row = [zero] * total
@@ -571,7 +562,7 @@ def _identity_morphism(u: MatrixRep) -> ElMorphism:
         ExactMatrix.identity(field, u.d0),
         {a: ExactMatrix.identity(field, u.cols(a)) for a in p.elements},
         {(b, a): ExactMatrix.zeros(field, u.cols(b), u.cols(a))
-         for a in p.elements for b in p.elements if p.lt(b, a)},
+         for a in p.elements for b in p.sorted_subset(strict_lower_cone(p, a))},
     )
 
 

@@ -162,9 +162,11 @@ def enumerate_configs(poset, d, space):
 
 def canonical(poset, d):
     """The canonical support poset and dimension the census of d runs on."""
-    order, rels = classify._canonical_support(poset, d)
+    order, rels, values = classify._canonical_support(poset, d)
     canon = pr.Poset([str(i) for i in range(len(order))], rels)
-    return canon, pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
+    dc = pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
+    assert dc.key() == (d.d0, values)  # the memoized values are the cache key's
+    return canon, dc
 
 
 def census_configs(poset, d, p):

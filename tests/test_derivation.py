@@ -1,5 +1,6 @@
 """Derived posets, differentiation/integration, subordinate dimensions."""
 
+import itertools
 import random
 
 import pytest
@@ -221,6 +222,26 @@ def test_exceptional_set(a3, kposet):
     assert [dv.key() for dv in exc.dimension_vectors()] == [pr.DimensionVector(1, {}).key()]
     with pytest.raises(pr.NotMaximal):
         pr.exceptional_set(kposet, "a2")
+
+
+def test_exceptional_set_matches_definition(poset_catalog):
+    """E_b for b in Θ(a) and E_{b,c} for each incomparable pair of Θ(a), in
+    element and combinations order; the pivot is checked like derive_poset's."""
+    for p in poset_catalog:
+        for a in p.elements:
+            if a not in pr.maximal_elements(p):
+                with pytest.raises(pr.NotMaximal):
+                    pr.exceptional_set(p, a)
+                continue
+            theta = [b for b in p.elements if b in pr.incomparables(p, a)]
+            exc = pr.exceptional_set(p, a)
+            assert list(exc.e_singles.items()) == [(b, pr.DimensionVector(1, {b: 1}))
+                                                   for b in theta]
+            assert list(exc.e_pairs.items()) == [
+                ((b, c), pr.DimensionVector(1, {b: 1, c: 1}))
+                for b, c in itertools.combinations(theta, 2) if not p.comparable(b, c)]
+    with pytest.raises(pr.UnknownElement):
+        pr.exceptional_set(poset_catalog[0], "zz")
 
 
 def test_theta_supported_reps_decompose_into_exceptionals(kposet):

@@ -1,6 +1,7 @@
 """Poset construction and order-combinatorial queries."""
 
 import itertools
+import random
 
 import pytest
 
@@ -35,6 +36,54 @@ def test_build_validation():
         pr.build_poset(["a"], [("a", "b")])
     with pytest.raises(pr.CycleDetected):
         pr.build_poset(["a"], [("a", "a")])
+
+
+def test_poset_rejects_relations_that_are_not_strict_orders():
+    # a pair with its reverse is a cycle
+    with pytest.raises(pr.CycleDetected):
+        pr.Poset(["a", "b", "c"], [("a", "b"), ("b", "a")])
+    # an unclosed relation would answer lt("a", "c") with False: Q(1; a:1, c:1)
+    # would read 1 where build_poset on the same relations gives 2
+    with pytest.raises(pr.ValidationError, match="build_poset"):
+        pr.Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(pr.ValidationError):
+        pr.Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    closed = pr.Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    assert closed == pr.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert pr.tits_value(closed, pr.DimensionVector(1, {"a": 1, "c": 1})) == 2
+
+
+def test_order_queries_match_relation_pairs():
+    """Every order query equals its definition from the relation set."""
+    for p in all_posets_upto(4) + list(critical_posets().values()):
+        rel = p.relation_pairs()
+        elems = set(p.elements)
+        for a in p.elements:
+            below = {b for b in elems if (b, a) in rel}
+            above = {b for b in elems if (a, b) in rel}
+            assert pr.strict_lower_cone(p, a) == below
+            assert pr.lower_cone(p, a) == below | {a}
+            assert pr.incomparables(p, a) == elems - below - above - {a}
+            for b in p.elements:
+                assert p.lt(a, b) == ((a, b) in rel)
+                assert p.le(a, b) == (a == b or (a, b) in rel)
+                assert p.comparable(a, b) == (a == b or (a, b) in rel or (b, a) in rel)
+            for query in (p.lt, p.le, p.comparable):
+                for x, y in ((a, "zz"), ("zz", a), ("zz", "zz")):
+                    with pytest.raises(pr.UnknownElement):
+                        query(x, y)
+        assert pr.maximal_elements(p) == {a for a in elems
+                                          if not any((a, b) in rel for b in elems)}
+        for query in (pr.lower_cone, pr.strict_lower_cone, pr.incomparables):
+            with pytest.raises(pr.UnknownElement):
+                query(p, "zz")
+        if len(p) <= 4:
+            for r in range(len(p) + 1):
+                for sub in itertools.combinations(p.elements, r):
+                    q = pr.induced_subposet(p, sub)
+                    assert q.elements == sub
+                    assert q.relation_pairs() == {(a, b) for a, b in rel
+                                                  if a in sub and b in sub}
 
 
 def test_maximal_elements(kposet):
@@ -145,6 +194,46 @@ def test_embeddings_preserve_and_reflect(poset_catalog):
         for emb in order_embeddings(t222, host):
             for x, y in itertools.permutations(t222.elements, 2):
                 assert t222.lt(x, y) == host.lt(emb[x], emb[y])
+
+
+def brute_embeddings(pattern, host):
+    """Every injective map preserving and reflecting the strict order, in
+    the order of itertools.permutations over the host's elements."""
+    rel_p, rel_h = pattern.relation_pairs(), host.relation_pairs()
+    out = []
+    for image in itertools.permutations(host.elements, len(pattern)):
+        m = dict(zip(pattern.elements, image))
+        if all(((x, y) in rel_p) == ((m[x], m[y]) in rel_h)
+               for x in pattern.elements for y in pattern.elements):
+            out.append(m)
+    return out
+
+
+def test_order_embeddings_match_brute_force(poset_catalog):
+    a4 = critical_posets()["A4"]
+    for host in poset_catalog:
+        assert order_embeddings(a4, host) == brute_embeddings(a4, host)
+    t222 = critical_posets()["T222"]
+    rng = random.Random(7)
+    hosts = [t222, pr.primitive_poset(2, 2, 3), pr.primitive_poset(1, 2, 2, 2),
+             pr.primitive_poset(6),
+             pr.build_poset(("z",) + t222.elements,
+                            [("z", x) for x in t222.elements] + list(t222.relation_pairs()))]
+    for n in (6, 7):
+        labels = [f"h{i}" for i in range(n)]
+        pairs = [(x, y) for x, y in itertools.combinations(labels, 2) if rng.random() < 0.2]
+        hosts.append(pr.build_poset(labels, pairs))
+    for _ in range(3):  # T222 with a new minimal element below a random subset
+        ups = [x for x in t222.elements if rng.random() < 0.5]
+        hosts.append(pr.build_poset(("z",) + t222.elements,
+                                    [("z", x) for x in ups] + list(t222.relation_pairs())))
+    counts = []
+    for host in hosts:
+        got = order_embeddings(t222, host)
+        assert got == brute_embeddings(t222, host)
+        counts.append(len(got))
+    assert counts[:5] == [6, 18, 6, 0, 6]  # automorphisms of T222 times images
+    assert min(counts[-3:]) >= 6
 
 
 def test_critical_embeddings_match_exhaustive_scan(poset_catalog):
