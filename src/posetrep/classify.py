@@ -5,10 +5,11 @@ counted on the fibre over the first element: the first element is fixed to
 one subspace S, the rest are enumerated, and the orbits of the stabilizer of
 S are taken on arrays, one per GL(d0)-orbit.  Each generator permutes the
 interned subspace ids through a lazily grown table, all configurations are
-moved at once, image rows are found by exact packed keys, and the orbits are
-the connected components of those moves.  A census is cached as a core
-of numbers and configurations: count_iso_classes, el_indecomposable_count
-and the verification harness's counts read the core, and only
+moved at once, image rows are found by searching their bytes among the
+configurations' sorted bytes, and the orbits are the connected components
+of those moves.  A census is cached as a core of numbers and
+configurations: count_iso_classes, el_indecomposable_count and the
+verification harness's counts read the core, and only
 rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone.
@@ -332,51 +333,12 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     return out, firsts[0], len(firsts)
 
 
-class _RowKeys:
-    """Exact int64 keys for the rows of a 2-d integer array.
-
-    Each column is coded densely, by its sorted distinct values, and the
-    codes are combined in mixed radix.  Before the radix product would pass
-    2^63, the partial key is re-ranked densely, so its radix drops to at most
-    the number of rows.  keys holds one key per row, equal exactly when the
-    rows are equal.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self._steps: list[tuple[np.ndarray, np.ndarray | None]] = []
-        key = np.zeros(len(rows), dtype=np.int64)
-        radix = 1
-        for col in rows.T:
-            values, code = np.unique(col, return_inverse=True)
-            ranks = None
-            if radix * len(values) > 1 << 63:
-                ranks, key = np.unique(key, return_inverse=True)
-                radix = len(ranks)
-            self._steps.append((values, ranks))
-            key = key * len(values) + code
-            radix *= len(values)
-        self.keys = key
-        self._order = np.argsort(key)
-        self._sorted = key[self._order]
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """The index of each given row among the coded rows, or -1."""
-        found = np.ones(len(rows), dtype=bool)
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col, (values, ranks) in zip(rows.T, self._steps):
-            if ranks is not None:
-                key = _locate(ranks, key, found)
-            key = key * len(values) + _locate(values, col, found)
-        pos = _locate(self._sorted, key, found)
-        return np.where(found, self._order[pos], -1)
-
-
-def _locate(ordered: np.ndarray, x: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Positions of x in the sorted array, kept in range; clears found where
-    x is absent."""
-    pos = np.minimum(np.searchsorted(ordered, x), len(ordered) - 1)
-    found &= ordered[pos] == x
-    return pos
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-d integer array: the row's bytes.  Keys are
+    equal exactly when the rows are; they sort, and searchsorted finds them,
+    in byte order, not numeric order."""
+    rows = np.ascontiguousarray(rows, np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
 
 
 def _orbit_minima(moves: np.ndarray) -> np.ndarray:
@@ -414,10 +376,14 @@ def _orbit_representatives(configs: list[tuple[int, ...]],
         return list(configs)
     cfg = np.array(configs, dtype=np.int64)
     table = group.table(cfg)
-    rows = _RowKeys(cfg)
+    keys = _row_keys(cfg)
+    order = np.argsort(keys)
+    ordered = keys[order]
     moves = np.empty((len(table), n), dtype=np.int64)
     for g, image in enumerate(table):
-        moves[g] = rows.find(image[cfg])
+        moved = _row_keys(image[cfg])
+        pos = np.minimum(np.searchsorted(ordered, moved), n - 1)
+        moves[g] = np.where(ordered[pos] == moved, order[pos], -1)
     if (moves < 0).any():
         raise InvariantViolated("a generator moved a configuration out of the set")
     label = _orbit_minima(moves)

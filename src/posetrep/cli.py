@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
            "--field": dict(default="2"),
            "--budget": dict(type=int, default=None)})
     add("decompose", cmd_decompose,
-        **{"--poset": dict(required=True), "--rep": dict(required=True)})
+        **{"--poset": dict(required=True), "--rep": dict(required=True),
+           "--budget": dict(type=int, default=None)})
     add("verify", cmd_verify,
         **{"--poset": dict(required=True),
            "--max-total": dict(type=int, default=4, dest="max_total"),
@@ -237,7 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in _BUDGETED and getattr(args, "budget", None) is None:
+        if args.command in _BUDGETED and args.budget is None:
             args.budget = _env_budget()
         return args.fn(args)
     except (BudgetExceeded, UndecidableAtBudget) as exc:

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .classify import ClassificationReport
-from .derivation import DerivedPoset, PairMark
+from .derivation import DerivedPoset, derive_poset
 from .errors import ValidationError
 from .linalg import QQ, ExactMatrix, FieldSpec, GF
 from .poset import Poset, build_poset, strict_lower_cone
@@ -200,42 +200,19 @@ def derived_to_json(ctx: DerivedPoset) -> dict:
     }
 
 
-_PAIR_KEYS = ("element", "members", "prime", "second")
-
-
-def _pair_from_json(entry, base: Poset) -> PairMark:
-    """One adjoined pair: a label and two base members, marked prime and second."""
-    if not isinstance(entry, dict) or any(k not in entry for k in _PAIR_KEYS):
-        raise ValidationError(f"each derived pair must be an object with keys {_PAIR_KEYS}")
-    members, marked = entry["members"], [entry["prime"], entry["second"]]
-    if not (isinstance(members, list) and len(members) == 2
-            and all(isinstance(x, str) for x in [entry["element"], *members, *marked])
-            and sorted(set(members)) == sorted(marked)):
-        raise ValidationError(
-            f"derived pair {entry['element']!r} must mark its two members as prime and second")
-    for m in members:
-        base.check_element(m)
-    return PairMark(entry["element"], tuple(members), *marked)
-
-
 def derived_from_json(obj) -> DerivedPoset:
+    """The derivation a file names: its derived poset and pairs must equal
+    those that derive_poset computes from its base and pivot."""
     if not isinstance(obj, dict) or any(k not in obj for k in ("base", "pivot", "derived")):
         raise ValidationError("derived-poset JSON must carry base, pivot, derived, pairs")
-    base = poset_from_json(obj["base"])
-    result = poset_from_json(obj["derived"])
-    entries = obj.get("pairs", [])
-    if not isinstance(entries, list):
-        raise ValidationError("'pairs' must be a list")
-    pairs = [_pair_from_json(entry, base) for entry in entries]
-    provenance = {}
-    pair_labels = {pm.label: pm for pm in pairs}
-    for x in result.elements:
-        if x in pair_labels:
-            provenance[x] = ("pair", pair_labels[x].members)
-        else:
-            base.check_element(x)
-            provenance[x] = ("element", x)
-    return DerivedPoset(base, obj["pivot"], tuple(pairs), result, provenance)
+    if not isinstance(obj["pivot"], str):
+        raise ValidationError("'pivot' must be an element label")
+    ctx = derive_poset(poset_from_json(obj["base"]), obj["pivot"])
+    if (poset_from_json(obj["derived"]) != ctx.result
+            or obj.get("pairs", []) != derived_to_json(ctx)["pairs"]):
+        raise ValidationError(
+            f"the derived poset and pairs must be those of deriving the base at {ctx.pivot!r}")
+    return ctx
 
 
 # -- reports -----------------------------------------------------------------------

@@ -166,13 +166,16 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
     """Exhaustive check that Q > 0 on every nonzero d' ≤ d.
 
     Exponential in the entries; serves as the cross-check oracle for
-    is_finite_type.  The whole grid is evaluated at once in exact int64
-    arithmetic.  Raises BudgetExceeded when the grid is too large.
+    is_finite_type.  Q is evaluated on the whole box of subvectors at once,
+    in exact int64 arithmetic; a negative entry leaves no subvector, so the
+    answer is True.  Raises BudgetExceeded when the box is too large, as
+    counted entry by entry in order.
     """
     _check_dimension(p, d)
     budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
     elems = p.elements
-    bounds = [d.d0] + [d.get(a) for a in elems]
+    # np.indices rejects negative sizes; a size of 0 already leaves no subvector
+    bounds = [max(b, -1) for b in [d.d0] + [d.get(a) for a in elems]]
     count = 1
     for b in bounds:
         count *= b + 1
@@ -186,14 +189,10 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
         raise BudgetExceeded(
             f"finite_type_scan entries sum to {sum(bounds)}, past the exact int64 range"
         )
+    # column 0 of the box is the zero vector, every later column is nonzero
+    x = np.indices([b + 1 for b in bounds], dtype=np.int64).reshape(len(bounds), -1)
+    q = (x * x).sum(axis=0) - x[0] * x[1:].sum(axis=0)
     idx = {a: i + 1 for i, a in enumerate(elems)}
-    grids = np.meshgrid(*(np.arange(b + 1, dtype=np.int64) for b in bounds),
-                        indexing="ij")
-    cols = [g.reshape(-1) for g in grids]
-    q = sum(c * c for c in cols)
     for a, b in p.relation_pairs():
-        q = q + cols[idx[a]] * cols[idx[b]]
-    s = sum(cols[1:]) if len(cols) > 1 else 0
-    q = q - cols[0] * s
-    nonzero = sum(c != 0 for c in cols) > 0
-    return bool(np.all(q[nonzero] > 0))
+        q += x[idx[a]] * x[idx[b]]
+    return bool(np.all(q[1:] > 0))

@@ -192,14 +192,30 @@ MALFORMED_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_REPS, *MALFORMED_PAIRS])
+# whole derived-poset files that are not the derivation they name, with the
+# blocks of an element that integrate would otherwise accept beside them
+MALFORMED_DERIVED = {
+    "derived keeps the pivot": (
+        lambda derived: derived.update(
+            derived={"elements": ["x", "y", "z"], "relations": []}, pairs=[]),
+        {"x": [[1]]}),
+    "pivot a list": (lambda derived: derived.update(pivot=["x"]), {"{y,z}": [[1]]}),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_REPS, *MALFORMED_PAIRS, *MALFORMED_DERIVED])
 def test_malformed_json_exits_2(tmp_path, capsys, a3, a3_file, case):
     """Malformed input is a validation error (exit 2), never a traceback or
     the exit 1 of a failed verification, and never silently misread."""
-    if case in MALFORMED_PAIRS:
+    if case in MALFORMED_PAIRS or case in MALFORMED_DERIVED:
         derived = jsonio.derived_to_json(pr.derive_poset(a3, "x"))
-        MALFORMED_PAIRS[case](derived["pairs"][0])
-        rep = {"field": {"p": 2}, "d0": 1, "blocks": {"{y,z}": [[1]]}}
+        blocks = {"{y,z}": [[1]]}
+        if case in MALFORMED_PAIRS:
+            MALFORMED_PAIRS[case](derived["pairs"][0])
+        else:
+            mutate, blocks = MALFORMED_DERIVED[case]
+            mutate(derived)
+        rep = {"field": {"p": 2}, "d0": 1, "blocks": blocks}
         argv = ["integrate", "--derived", write(tmp_path, "sx.json", derived),
                 "--rep", write(tmp_path, "v.json", rep)]
     else:

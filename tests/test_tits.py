@@ -100,6 +100,15 @@ def test_scan_with_entries_past_999(a3, a4):
     assert not pr.finite_type_scan(a4, D(2, w=1000, x=1, y=1, z=1))
 
 
+def test_scan_edge_cases(a3):
+    """A negative entry leaves no subvector to check, and the zero vector no
+    nonzero one, so both answer True; on the empty poset Q = d0² > 0."""
+    assert pr.finite_type_scan(a3, D(-1, x=2))
+    assert pr.finite_type_scan(a3, D(2, x=-3))
+    assert pr.finite_type_scan(a3, D(0))
+    assert pr.finite_type_scan(pr.build_poset([], []), D(2))
+
+
 def test_scan_budget(a4):
     with pytest.raises(pr.BudgetExceeded):
         pr.finite_type_scan(a4, D(100, w=100, x=100, y=100, z=100), budget=1000)

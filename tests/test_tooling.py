@@ -1,7 +1,9 @@
 """Names that live outside the library's own code: the benchmark's traced
-mode looks them up by string, and the README's library example calls them.
+mode looks them up by string, the README's library example calls them, and
+the README and the cli docstring name the commands that take --budget.
 An API cut that drops one of them must fail here."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -9,6 +11,7 @@ import pathlib
 import re
 
 import posetrep as pr
+from posetrep import cli
 from posetrep.linalg import ExactMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,3 +52,22 @@ def test_readme_library_example():
         assert eval(code, namespace) == expected, line
         checked += 1
     assert checked >= 4
+
+
+def test_budgeted_commands_take_budget_flag(tmp_path, capsys):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name in cli._BUDGETED:
+        required = [a.option_strings[0] for a in commands[name]._actions if a.required]
+        argv = [name, *(x for flag in required for x in (flag, "-")), "--budget", "1"]
+        assert parser.parse_args(argv).budget == 1, name
+    # the flag reaches the library, which rejects a negative budget
+    poset = tmp_path / "a3.json"
+    poset.write_text('{"elements": ["x", "y", "z"], "relations": []}')
+    rep = tmp_path / "u.json"
+    rep.write_text('{"field": {"p": 2}, "d0": 2, '
+                   '"blocks": {"x": [[1], [0]], "y": [[0], [1]], "z": [[1], [1]]}}')
+    argv = ["decompose", "--poset", str(poset), "--rep", str(rep), "--budget", "-1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
