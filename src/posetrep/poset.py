@@ -3,7 +3,8 @@
 Elements are opaque string labels.  A poset owns its order: it stores each
 element's strict down-set and up-set, and every cone, comparability and
 maximality question in the package is answered from these tables.  Queries
-are pure and cached on the poset, which is immutable after construction.
+are pure and cached on the poset, which is immutable after construction;
+critical embeddings are shared by equal labelled orders instead.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
     """All injective maps preserving and reflecting the strict order."""
     pat = pattern.elements
     pdown, pup, hdown, hup = pattern._down, pattern._up, host._down, host._up
+    # h can take x only if its cones are at least as large as x's
+    cands = {x: [h for h in host.elements if len(hdown[h]) >= len(pdown[x])
+                 and len(hup[h]) >= len(pup[x])] for x in pat}
     out: list[dict[str, str]] = []
 
     def backtrack(i: int, assigned: dict[str, str], used: set[str]):
@@ -263,7 +267,7 @@ def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
             out.append(dict(assigned))
             return
         x = pat[i]
-        for h in host.elements:
+        for h in cands[x]:
             if h in used:
                 continue
             below, above = hdown[h], hup[h]
@@ -279,10 +283,16 @@ def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
     return out
 
 
+# One list per labelled order (elements, relation pairs), so equal posets share
+# one search; written without a lock, since racing writers store equal lists.
+_EMBEDDINGS: dict[tuple, list[CriticalEmbedding]] = {}
+
+
 def critical_subposet_embeddings(p: Poset) -> list[CriticalEmbedding]:
     """Every embedding of every critical poset; empty iff p is representation finite."""
-    if "critical_embeddings" in p._cache:
-        return p._cache["critical_embeddings"]
+    found = _EMBEDDINGS.get((p.elements, p._lt))
+    if found is not None:
+        return found
     w = width(p)[0]
     found = []
     for kind, pattern in critical_posets().items():
@@ -292,7 +302,7 @@ def critical_subposet_embeddings(p: Poset) -> list[CriticalEmbedding]:
             continue
         for emb in order_embeddings(pattern, p):
             found.append(CriticalEmbedding(kind, emb))
-    p._cache["critical_embeddings"] = found
+    _EMBEDDINGS[p.elements, p._lt] = found
     return found
 
 

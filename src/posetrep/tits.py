@@ -174,8 +174,9 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
     _check_dimension(p, d)
     budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
     elems = p.elements
-    # np.indices rejects negative sizes; a size of 0 already leaves no subvector
-    bounds = [max(b, -1) for b in [d.d0] + [d.get(a) for a in elems]]
+    bounds = [d.d0] + [d.get(a) for a in elems]
+    if min(bounds) < 0:
+        return True
     count = 1
     for b in bounds:
         count *= b + 1

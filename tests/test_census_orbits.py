@@ -13,6 +13,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import classify
+from posetrep import poset as poset_module
 from posetrep.linalg import rref
 
 from conftest import all_dimensions, burnside_point_tuple_orbits
@@ -195,10 +196,12 @@ def check_fibre_census(poset, d, p):
 
 
 def cold():
-    """Empty the census caches, so the next census is computed afresh.  The
-    stabilizers and their tables live on the spaces and go with them."""
+    """Empty the census caches and the shared critical-embedding table, so the
+    next census or construction is computed afresh.  The stabilizers and
+    their tables live on the spaces and go with them."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
+    poset_module._EMBEDDINGS.clear()
 
 
 def antichain(m):

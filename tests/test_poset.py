@@ -1,11 +1,13 @@
 """Poset construction and order-combinatorial queries."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
 import posetrep as pr
+from posetrep import poset as poset_module
 from posetrep.poset import canonical_form, critical_posets, order_embeddings
 
 from conftest import all_antichains, all_posets_upto, chain_cover, is_antichain, is_chain
@@ -200,12 +202,12 @@ def brute_embeddings(pattern, host):
     """Every injective map preserving and reflecting the strict order, in
     the order of itertools.permutations over the host's elements."""
     rel_p, rel_h = pattern.relation_pairs(), host.relation_pairs()
+    pairs = [(i, j, (x, y) in rel_p) for i, x in enumerate(pattern.elements)
+             for j, y in enumerate(pattern.elements)]
     out = []
     for image in itertools.permutations(host.elements, len(pattern)):
-        m = dict(zip(pattern.elements, image))
-        if all(((x, y) in rel_p) == ((m[x], m[y]) in rel_h)
-               for x in pattern.elements for y in pattern.elements):
-            out.append(m)
+        if all(((image[i], image[j]) in rel_h) == lt for i, j, lt in pairs):
+            out.append(dict(zip(pattern.elements, image)))
     return out
 
 
@@ -234,6 +236,75 @@ def test_order_embeddings_match_brute_force(poset_catalog):
         counts.append(len(got))
     assert counts[:5] == [6, 18, 6, 0, 6]  # automorphisms of T222 times images
     assert min(counts[-3:]) >= 6
+    # the larger critical posets, on hosts of at most 8 points: K, the critical
+    # posets (1,2,5) and (1,3,3), and (1,2,4) with a new point above a1 and b1,
+    # which makes it a relabelled K
+    p124 = pr.primitive_poset(1, 2, 4)
+    hosts = [pr.poset_K(), pr.primitive_poset(1, 2, 5), pr.primitive_poset(1, 3, 3),
+             pr.build_poset(p124.elements + ("z",),
+                            [("a1", "z"), ("b1", "z")] + list(p124.relation_pairs()))]
+    counts = {}
+    for kind in ("T133", "T125", "K"):
+        pattern = critical_posets()[kind]
+        counts[kind] = []
+        for host in hosts:
+            got = order_embeddings(pattern, host)
+            assert got == brute_embeddings(pattern, host)
+            counts[kind].append(len(got))
+    # K and (1,2,5) have no automorphism but the identity, (1,3,3) swaps its 3-chains
+    assert counts == {"T133": [0, 0, 2, 0], "T125": [0, 1, 0, 0], "K": [1, 0, 0, 1]}
+
+
+def positive_roots(p):
+    """Every nonzero d ≥ 0 with Q(d) = 1, on a representation-finite poset p.
+    Q is then a weakly positive unit form, so each such d that is not a unit
+    vector stays a root after lowering some entry by one (Ringel, LNM 1099),
+    and adding unit vectors to the unit vectors reaches every one."""
+    def dim(v):
+        return pr.DimensionVector(v[0], dict(zip(p.elements, v[1:])))
+
+    units = [tuple(int(i == j) for i in range(len(p) + 1)) for j in range(len(p) + 1)]
+    seen, todo = set(units), list(units)
+    while todo:
+        v = todo.pop()
+        for u in units:
+            w = tuple(a + b for a, b in zip(v, u))
+            if w not in seen and pr.is_root(p, dim(w)):
+                seen.add(w)
+                todo.append(w)
+    return [dim(v) for v in sorted(seen)]
+
+
+def test_equal_posets_share_one_embedding_search(monkeypatch):
+    """Critical embeddings are kept per labelled order, so an equal poset built
+    afresh, as derive_poset builds every derived poset, runs no search."""
+    searches = collections.Counter()
+    search = poset_module.order_embeddings
+
+    def counting(pattern, host):
+        searches[pattern.elements, pattern._lt, host.elements, host._lt] += 1
+        return search(pattern, host)
+
+    monkeypatch.setattr(poset_module, "_EMBEDDINGS", {})
+    monkeypatch.setattr(poset_module, "order_embeddings", counting)
+    first, second = pr.primitive_poset(2, 2, 3), pr.primitive_poset(2, 2, 3)
+    assert first is not second and first == second
+    embs = pr.critical_subposet_embeddings(first)
+    ran = sum(searches.values())
+    assert ran > 0 and len(embs) == 18
+    assert pr.critical_subposet_embeddings(second) is embs
+    assert sum(searches.values()) == ran
+
+    # every root of (1,2,4): one search per pattern and distinct order, and
+    # every element equal to the one built from a cold table
+    p124, f2 = pr.primitive_poset(1, 2, 4), pr.GF(2)
+    roots = positive_roots(p124)
+    assert max(d.d0 for d in roots) == 6
+    built = [pr.construct_indecomposable(p124, d, f2) for d in roots]
+    assert max(searches.values()) == 1
+    for d, u in zip(roots, built):
+        poset_module._EMBEDDINGS.clear()
+        assert u is not None and pr.construct_indecomposable(p124, d, f2) == u
 
 
 def test_critical_embeddings_match_exhaustive_scan(poset_catalog):

@@ -107,6 +107,9 @@ def test_scan_edge_cases(a3):
     assert pr.finite_type_scan(a3, D(2, x=-3))
     assert pr.finite_type_scan(a3, D(0))
     assert pr.finite_type_scan(pr.build_poset([], []), D(2))
+    # the box is empty whatever the other sizes, so the budget never binds
+    assert pr.finite_type_scan(a3, D(10**8, x=-1))
+    assert pr.finite_type_scan(a3, D(-1, x=10**8))
 
 
 def test_scan_budget(a4):
