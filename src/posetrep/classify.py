@@ -14,16 +14,16 @@ rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone.
 
-The census caches may be filled from several threads: one lock covers
-space creation, census computation (with the stabilizer tables it grows)
-and the cache insert; cache hits are lock-free reads.
+The census caches, the spaces and their tables may be filled from several
+threads: each fills through poset.memo, so a hit is a lock-free read and a
+miss is built under the package's one lock, and the stabilizer tables grow
+under the same lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -39,8 +39,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref
-from .poset import (Poset, canonical_form, induced_subposet, maximal_elements,
-                    strict_lower_cone)
+from .poset import (LOCK, Poset, canonical_form, induced_subposet, maximal_elements,
+                    memo, strict_lower_cone)
 from .reps import (
     MatrixRep,
     SubspaceRep,
@@ -141,62 +141,50 @@ class SubspaceSpace:
         return len(self._basis[sid])
 
     def vectors(self, sid: int) -> frozenset:
-        got = self._vectors.get(sid)
-        if got is None:
-            rows = self._basis[sid]
-            got = self._vectors[sid] = frozenset(
-                self.tuple_vec([sum(c * x for c, x in zip(coeffs, col))
-                                for col in zip(*rows)])
-                for coeffs in itertools.product(range(self.p), repeat=len(rows)))
-        return got
+        return memo(self._vectors, sid, self._expand, sid)
+
+    def _expand(self, sid: int) -> frozenset:
+        rows = self._basis[sid]
+        return frozenset(
+            self.tuple_vec([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
+            for coeffs in itertools.product(range(self.p), repeat=len(rows)))
 
     def extend(self, sid: int, vec: int) -> int:
-        key = (sid, vec)
-        got = self._extend.get(key)
-        if got is None:
-            got = self._intern_span(self._basis[sid] + (self.vec_tuple(vec),))
-            self._extend[key] = got
-        return got
+        return memo(self._extend, (sid, vec), self._span_with, sid, vec)
+
+    def _span_with(self, sid: int, vec: int) -> int:
+        return self._intern_span(self._basis[sid] + (self.vec_tuple(vec),))
 
     def join(self, s1: int, s2: int) -> int:
         if s1 > s2:
             s1, s2 = s2, s1
-        key = (s1, s2)
-        got = self._join.get(key)
-        if got is None:
-            got = s1
-            for row in self._basis[s2]:
-                got = self.extend(got, self.tuple_vec(row))
-            self._join[key] = got
+        return memo(self._join, (s1, s2), self._join_rows, s1, s2)
+
+    def _join_rows(self, s1: int, s2: int) -> int:
+        got = s1
+        for row in self._basis[s2]:
+            got = self.extend(got, self.tuple_vec(row))
         return got
 
     def supersets(self, sid: int, k: int) -> tuple[int, ...]:
         """All subspaces containing sid with dim(sid) + k dimensions."""
-        key = (sid, k)
-        got = self._supersets.get(key)
-        if got is None:
-            frontier = {sid}
-            for _ in range(k):
-                nxt = set()
-                for s in frontier:
-                    members = self.vectors(s)
-                    for v in range(1, self.pn):
-                        if v not in members:
-                            nxt.add(self.extend(s, v))
-                frontier = nxt
-            got = tuple(sorted(frontier))
-            self._supersets[key] = got
-        return got
+        return memo(self._supersets, (sid, k), self._grow, sid, k)
+
+    def _grow(self, sid: int, k: int) -> tuple[int, ...]:
+        frontier = {sid}
+        for _ in range(k):
+            nxt = set()
+            for s in frontier:
+                members = self.vectors(s)
+                for v in range(1, self.pn):
+                    if v not in members:
+                        nxt.add(self.extend(s, v))
+            frontier = nxt
+        return tuple(sorted(frontier))
 
     def stabilizer(self, sid: int) -> _Stabilizer:
         """The stabilizer of subspace sid in GL_n(F_p), created once."""
-        got = self._stabilizers.get(sid)
-        if got is None:
-            with _LOCK:
-                got = self._stabilizers.get(sid)
-                if got is None:
-                    got = self._stabilizers[sid] = _Stabilizer(self, sid)
-        return got
+        return memo(self._stabilizers, sid, _Stabilizer, self, sid)
 
     def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
         """Canonical basis of the subspace, as columns of an ExactMatrix."""
@@ -219,7 +207,7 @@ class _Stabilizer:
     T.  T is the identity when S is a coordinate span, and with k = 0 or
     k = n the group is GL_n(F_p).  The actions are kept as one table over
     the subspace ids, row g holding the image of each id under generator g
-    (-1 where not yet computed), grown under the census lock.
+    (-1 where not yet computed), grown under the package lock.
     """
 
     def __init__(self, space: SubspaceSpace, sid: int):
@@ -254,7 +242,7 @@ class _Stabilizer:
     def table(self, ids: np.ndarray) -> np.ndarray:
         """The (generators, ·) image table, filled in at least for the ids in
         the given array: table[g, s] is the id of generator g applied to s."""
-        with _LOCK:
+        with LOCK:
             table = self._table
             need = int(ids.max()) + 1
             if table.shape[1] < need:
@@ -271,19 +259,10 @@ class _Stabilizer:
 
 
 _SPACES: dict[tuple[int, int], SubspaceSpace] = {}
-# Guards every write to _SPACES, _CENSUS_CACHE and the spaces themselves.
-# Reentrant, because _census_core runs under it and looks up its space.
-_LOCK = threading.RLock()
 
 
 def _space(p: int, n: int) -> SubspaceSpace:
-    got = _SPACES.get((p, n))
-    if got is None:
-        with _LOCK:
-            got = _SPACES.get((p, n))
-            if got is None:
-                got = _SPACES[(p, n)] = SubspaceSpace(p, n)
-    return got
+    return memo(_SPACES, (p, n), SubspaceSpace, p, n)
 
 
 def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
@@ -444,17 +423,24 @@ def _canonical_support(poset: Poset, d: DimensionVector):
     and the sorted (position label, value) items of the relabelled d are kept,
     not the subposet itself.
     """
-    memo = poset._cache.setdefault("canonical_support", {})
     weights = tuple(d.get(a) for a in poset.elements)
-    got = memo.get(weights)
-    if got is None:
-        sub = induced_subposet(poset, d.support())
-        _, order = canonical_form(sub, {a: d.get(a) for a in sub.elements})
-        pos = {a: i for i, a in enumerate(order)}
-        rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
-        dc = DimensionVector(0, {str(i): d.get(a) for i, a in enumerate(order)})
-        got = memo[weights] = (order, rels, dc.key()[1])
-    return got
+    return memo(poset._cache, weights, _relabel_support, poset, d)
+
+
+def _relabel_support(poset: Poset, d: DimensionVector):
+    sub = induced_subposet(poset, d.support())
+    _, order = canonical_form(sub, {a: d.get(a) for a in sub.elements})
+    pos = {a: i for i, a in enumerate(order)}
+    rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
+    dc = DimensionVector(0, {str(i): d.get(a) for i, a in enumerate(order)})
+    return order, rels, dc.key()[1]
+
+
+def _cold_census(key: tuple, budget: int) -> _CensusCore:
+    """The census core of a cache key, on the canonically labelled support."""
+    n, rels, (d0, values), p = key
+    canon = Poset([str(i) for i in range(n)], rels)
+    return _census_core(canon, DimensionVector(d0, dict(values)), p, budget)
 
 
 def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
@@ -478,14 +464,7 @@ def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
         return _CensusCore(0 if d.support() else 1, (), 0), ()
     order, rels, values = _canonical_support(poset, d)
     key = (len(order), rels, (d.d0, values), field.p)
-    core = _CENSUS_CACHE.get(key)
-    if core is None:
-        with _LOCK:
-            core = _CENSUS_CACHE.get(key)
-            if core is None:
-                canon = Poset([str(i) for i in range(len(order))], rels)
-                dc = DimensionVector(d.d0, dict(values))
-                core = _CENSUS_CACHE[key] = _census_core(canon, dc, field.p, budget)
+    core = memo(_CENSUS_CACHE, key, _cold_census, key, budget)
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
     return core, order

@@ -55,6 +55,8 @@ def poset_from_json(obj) -> Poset:
     relations = obj.get("relations", [])
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise ValidationError("poset elements must be a list of strings")
+    if "0" in elements:
+        raise ValidationError('the label "0" is reserved for the ambient dimension')
     if not isinstance(relations, list) or not all(
         isinstance(r, (list, tuple)) and len(r) == 2 for r in relations
     ):

@@ -3,22 +3,41 @@
 Elements are opaque string labels.  A poset owns its order: it stores each
 element's strict down-set and up-set, and every cone, comparability and
 maximality question in the package is answered from these tables.  Queries
-are pure and cached on the poset, which is immutable after construction;
-critical embeddings are shared by equal labelled orders instead.
+are pure, and a poset is immutable after construction.
+
+Every memo table in the package fills through memo(), under the one
+reentrant LOCK: a hit is one dict read, a miss builds and stores its value
+under the lock, so each value is built once even when threads race.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, DuplicateLabel, UnknownElement, ValidationError
 
+# Reentrant, because a build may fill other tables: a census grows its space's.
+LOCK = threading.RLock()
+
+
+def memo(table: dict, key, build, *args):
+    """table[key], stored as build(*args) under LOCK when missing."""
+    got = table.get(key)
+    if got is None:
+        with LOCK:
+            got = table.get(key)
+            if got is None:
+                got = table[key] = build(*args)
+    return got
+
 
 class Poset:
     """Finite strict partial order with its tables _down[a] and _up[a], the
-    frozensets of elements strictly below and strictly above a.
+    frozensets of elements strictly below and strictly above a, and _cache,
+    its memo table of canonical supports keyed by their weights.
 
     The pairs must be transitively closed (build_poset closes generating
     relations): a pair given with its reverse raises CycleDetected, and an
@@ -171,8 +190,6 @@ class Antichain:
 
 def width(p: Poset) -> tuple[int, Antichain]:
     """Maximum antichain size with a witness, by exhaustive pruned search."""
-    if "width" in p._cache:
-        return p._cache["width"]
     best: list[str] = []
     elems = p.elements
     n = len(elems)
@@ -191,9 +208,7 @@ def width(p: Poset) -> tuple[int, Antichain]:
                 current.pop()
 
     extend(0, [])
-    result = (len(best), Antichain(frozenset(best)))
-    p._cache["width"] = result
-    return result
+    return len(best), Antichain(frozenset(best))
 
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
@@ -224,21 +239,17 @@ def poset_K() -> Poset:
     )
 
 
-CRITICAL_KINDS = ("A4", "T222", "T133", "T125", "K")
-
-_CRITICAL_POSETS: dict[str, Poset] | None = None
+_CRITICAL_POSETS = {
+    "A4": primitive_poset(1, 1, 1, 1),
+    "T222": primitive_poset(2, 2, 2),
+    "T133": primitive_poset(1, 3, 3),
+    "T125": primitive_poset(1, 2, 5),
+    "K": poset_K(),
+}
+_CRITICAL_WIDTHS = {kind: width(q)[0] for kind, q in _CRITICAL_POSETS.items()}
 
 
 def critical_posets() -> dict[str, Poset]:
-    global _CRITICAL_POSETS
-    if _CRITICAL_POSETS is None:
-        _CRITICAL_POSETS = {
-            "A4": primitive_poset(1, 1, 1, 1),
-            "T222": primitive_poset(2, 2, 2),
-            "T133": primitive_poset(1, 3, 3),
-            "T125": primitive_poset(1, 2, 5),
-            "K": poset_K(),
-        }
     return _CRITICAL_POSETS
 
 
@@ -284,25 +295,23 @@ def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
 
 
 # One list per labelled order (elements, relation pairs), so equal posets share
-# one search; written without a lock, since racing writers store equal lists.
+# one search.
 _EMBEDDINGS: dict[tuple, list[CriticalEmbedding]] = {}
 
 
 def critical_subposet_embeddings(p: Poset) -> list[CriticalEmbedding]:
     """Every embedding of every critical poset; empty iff p is representation finite."""
-    found = _EMBEDDINGS.get((p.elements, p._lt))
-    if found is not None:
-        return found
+    return memo(_EMBEDDINGS, (p.elements, p._lt), _search_critical_embeddings, p)
+
+
+def _search_critical_embeddings(p: Poset) -> list[CriticalEmbedding]:
     w = width(p)[0]
     found = []
-    for kind, pattern in critical_posets().items():
-        if len(pattern) > len(p):
-            continue
-        if width(pattern)[0] > w:
+    for kind, pattern in _CRITICAL_POSETS.items():
+        if len(pattern) > len(p) or _CRITICAL_WIDTHS[kind] > w:
             continue
         for emb in order_embeddings(pattern, p):
             found.append(CriticalEmbedding(kind, emb))
-    _EMBEDDINGS[p.elements, p._lt] = found
     return found
 
 

@@ -118,6 +118,9 @@ class SubspaceRep:
 
     def __init__(self, poset: Poset, field: FieldSpec, ambient_dim: int,
                  subspaces: Mapping[str, ExactMatrix]):
+        unknown = [a for a in subspaces if a not in poset]
+        if unknown:
+            raise UnknownElement(f"subspaces given for unknown elements {sorted(unknown)}")
         canon = {}
         for a in poset.elements:
             m = subspaces.get(a)

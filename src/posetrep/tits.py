@@ -9,12 +9,13 @@ evaluated exactly over the integers (negative entries allowed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetExceeded, UnknownElement
+from .errors import BudgetExceeded, UnknownElement, ValidationError
 from .linalg import resolve_budget
 from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings
 
@@ -25,14 +26,22 @@ class DimensionVector:
     """Map Ŝ → ℤ with the added index 0 stored separately.
 
     Zero entries are dropped on construction, so equality and hashing ignore
-    explicit zeros ("missing keys mean 0").
+    explicit zeros ("missing keys mean 0").  Entries must be integers
+    (operator.index); anything else raises ValidationError.
     """
 
     __slots__ = ("d0", "values")
 
     def __init__(self, d0: int, values: Mapping[str, int] | None = None):
-        object.__setattr__(self, "d0", int(d0))
-        vals = {str(k): int(v) for k, v in (values or {}).items() if int(v) != 0}
+        values = values or {}
+        try:
+            d0 = operator.index(d0)
+            entries = zip(values, map(operator.index, values.values()))
+            vals = {str(k): v for k, v in entries if v}
+        except TypeError:
+            raise ValidationError(
+                f"dimension entries must be integers: {d0!r}, {dict(values)!r}") from None
+        object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "values", vals)
 
     def __setattr__(self, *args):
@@ -108,30 +117,24 @@ class CriticalDimension:
         return DimensionVector(self.c0, dict(self.assignment))
 
 
-_TABLE: tuple[CriticalDimension, ...] | None = None
+_CRITICAL_DIMENSIONS = (
+    CriticalDimension("A4", 2, dict.fromkeys(["a1", "b1", "c1", "d1"], 1)),
+    CriticalDimension("T222", 3, dict.fromkeys(["a1", "a2", "b1", "b2", "c1", "c2"], 1)),
+    CriticalDimension(
+        "T133", 4, {"a1": 2, **dict.fromkeys(["b1", "b2", "b3", "c1", "c2", "c3"], 1)}),
+    CriticalDimension(
+        "T125", 6,
+        {"a1": 3, "b1": 2, "b2": 2, **dict.fromkeys(["c1", "c2", "c3", "c4", "c5"], 1)}),
+    CriticalDimension(
+        "K", 5,
+        {"a1": 1, "a2": 2, "b1": 2, "b2": 1, **dict.fromkeys(["c1", "c2", "c3", "c4"], 1)}),
+)
+_CRITICAL_BY_KIND = {c.kind: c for c in _CRITICAL_DIMENSIONS}
 
 
 def critical_dimension_table() -> tuple[CriticalDimension, ...]:
     """The five critical dimensions C1..C5, keyed by abstract poset labels."""
-    global _TABLE
-    if _TABLE is None:
-        ones = lambda labels: {x: 1 for x in labels}
-        _TABLE = (
-            CriticalDimension("A4", 2, ones(["a1", "b1", "c1", "d1"])),
-            CriticalDimension("T222", 3, ones(["a1", "a2", "b1", "b2", "c1", "c2"])),
-            CriticalDimension(
-                "T133", 4, {"a1": 2, **ones(["b1", "b2", "b3", "c1", "c2", "c3"])}
-            ),
-            CriticalDimension(
-                "T125", 6,
-                {"a1": 3, "b1": 2, "b2": 2, **ones(["c1", "c2", "c3", "c4", "c5"])},
-            ),
-            CriticalDimension(
-                "K", 5,
-                {"a1": 1, "a2": 2, "b1": 2, "b2": 1, **ones(["c1", "c2", "c3", "c4"])},
-            ),
-        )
-    return _TABLE
+    return _CRITICAL_DIMENSIONS
 
 
 def dominated_critical(
@@ -143,9 +146,8 @@ def dominated_critical(
     placements consistent with the critical poset's automorphisms.
     """
     _check_dimension(p, d)
-    table = {c.kind: c for c in critical_dimension_table()}
     for emb in critical_subposet_embeddings(p):
-        crit = table[emb.kind]
+        crit = _CRITICAL_BY_KIND[emb.kind]
         if crit.c0 > d.d0:
             continue
         if all(v <= d.get(emb.image_map[x]) for x, v in crit.assignment.items()):

@@ -109,6 +109,18 @@ def direct_sum(u: pr.MatrixRep, v: pr.MatrixRep) -> pr.MatrixRep:
     return pr.MatrixRep(u.poset, u.field, u.d0 + v.d0, blocks)
 
 
+def nilpotent_graph(a4: Poset, field) -> pr.MatrixRep:
+    """Four planes in F^4 on the 4-antichain w, x, y, z: <e0,e1>, <e2,e3>,
+    <e0+e2,e1+e3> and <e0,e1+e2>, the graph of a nilpotent Jordan block.
+    Its endomorphism algebra is local of dimension 2, spanned by the identity
+    and a nilpotent, so the idempotent search runs through every stage."""
+    columns = {"w": [[1, 0, 0, 0], [0, 1, 0, 0]], "x": [[0, 0, 1, 0], [0, 0, 0, 1]],
+               "y": [[1, 0, 1, 0], [0, 1, 0, 1]], "z": [[1, 0, 0, 0], [0, 1, 1, 0]]}
+    return pr.MatrixRep(a4, field, 4, {
+        a: ExactMatrix.from_rows(field, [list(row) for row in zip(*cols)])
+        for a, cols in columns.items()})
+
+
 def el_morphism_satisfies(phi: pr.ElMorphism, u: pr.MatrixRep, v: pr.MatrixRep) -> bool:
     """The defining block equations of a morphism u -> v."""
     p = u.poset

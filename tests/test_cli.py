@@ -9,6 +9,8 @@ from posetrep import jsonio
 from posetrep.cli import main
 from posetrep.linalg import ExactMatrix
 
+from conftest import nilpotent_graph
+
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
@@ -116,6 +118,15 @@ def test_decompose_cli(tmp_path, capsys, a3_file):
     assert len(out["pieces"]) == 2
 
 
+def test_decompose_cli_past_budget(tmp_path, capsys, a4):
+    poset = write(tmp_path, "a4.json", jsonio.poset_to_json(a4))
+    rep = write(tmp_path, "u.json", jsonio.rep_to_json(nilpotent_graph(a4, pr.GF(2))))
+    code, out = run(capsys, "decompose", "--poset", poset, "--rep", rep)
+    assert code == 0 and len(out["pieces"]) == 1
+    assert main(["decompose", "--poset", poset, "--rep", rep, "--budget", "3"]) == 3
+    assert capsys.readouterr().err.startswith("budget: ")
+
+
 def test_verify_cli_a3(tmp_path, capsys, a3_file):
     code, out = run(capsys, "verify", "--poset", a3_file,
                     "--max-total", "6", "--fields", "2,3")
@@ -172,6 +183,17 @@ def test_validation_errors(tmp_path, capsys, a3_file):
     code, _ = run(capsys, "brute-count", "--poset", a3_file, "--dim", dim_ok,
                   "--field", "4")
     assert code == 2
+
+
+def test_label_zero_is_reserved(tmp_path, capsys):
+    """"0" keys the ambient dimension in dimension JSON, so no element may
+    carry it: verify would print (1; ) and (0; 0:1) both as {"0": 1}."""
+    poset = write(tmp_path, "p.json", {"elements": ["0", "a"], "relations": [["0", "a"]]})
+    dim = write(tmp_path, "d.json", {"0": 1, "a": 1})
+    assert main(["verify", "--poset", poset, "--max-total", "2", "--fields", "2"]) == 2
+    assert main(["tits", "--poset", poset, "--dim", dim]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert "0" in pr.build_poset(["0", "a"], [("0", "a")])  # only JSON reserves it
 
 
 MALFORMED_REPS = {

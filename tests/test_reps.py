@@ -17,6 +17,7 @@ from conftest import (
     compose,
     direct_sum,
     el_morphism_satisfies,
+    nilpotent_graph,
     random_element,
 )
 
@@ -47,6 +48,8 @@ def test_block_validation(a3):
         pr.MatrixRep(a3, F2, 2, {"nope": ExactMatrix.zeros(F2, 2, 1)})
     with pytest.raises(pr.FieldMismatch):
         pr.MatrixRep(a3, F2, 2, {"x": ExactMatrix.zeros(F3, 2, 1)})
+    with pytest.raises(pr.UnknownElement):
+        pr.SubspaceRep(a3, F2, 2, {"zz": ExactMatrix.identity(F2, 2)})
 
 
 def test_rho_identity_block_chain():
@@ -234,6 +237,21 @@ def test_is_indecomposable(a3):
     t0 = pr.antichain_unit_element(a3, F2, [])
     t0_pair = direct_sum(t0, t0)
     assert not pr.is_indecomposable(t0_pair)
+
+
+def test_idempotent_search_past_the_basis_scan(a4):
+    """A local End of dimension 2: no basis element, sum or product splits
+    it, so over GF(p) the exhaustive stage decides, and it gives up past its
+    budget; over Q the search can only give up."""
+    for field in (F2, F3):
+        u = nilpotent_graph(a4, field)
+        assert pr.is_indecomposable(u)
+        assert len(pr.decompose(u).pieces) == 1
+        assert rep_end_dimension(pr.rho(u)) == pr.end_dimension(u) == 2
+        with pytest.raises(pr.UndecidableAtBudget):
+            pr.is_indecomposable(u, budget=3)
+    with pytest.raises(pr.UndecidableAtBudget):
+        pr.is_indecomposable(nilpotent_graph(a4, pr.QQ))
 
 
 def test_split_trivial_columns(a3):

@@ -28,6 +28,13 @@ def test_tits_unknown_element(a3):
         pr.tits_value(a3, D(1, nope=1))
 
 
+def test_dimension_entries_must_be_integers():
+    for d0, values in [(2, {"x": 1.7}), (2.5, {}), (2, {"x": "2"})]:
+        with pytest.raises(pr.ValidationError):
+            pr.DimensionVector(d0, values)
+    assert pr.DimensionVector(2, {"x": 3, "y": 0}) == D(2, x=3)
+
+
 def test_group_space_dimensions(a4):
     single = pr.build_poset(["a"], [])
     assert pr.group_dimension(single, D(1, a=1)) == 2

@@ -1,7 +1,9 @@
 """Names that live outside the library's own code: the benchmark's traced
 mode looks them up by string, the README's library example calls them, and
 the README and the cli docstring name the commands that take --budget.
-An API cut that drops one of them must fail here."""
+An API cut that drops one of them must fail here.  Also the source rules
+no test run shows: the Python floor pyproject.toml declares, and the one
+lock that every memo table fills under."""
 
 import argparse
 import ast
@@ -16,6 +18,7 @@ from posetrep.linalg import ExactMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+SOURCES = sorted((ROOT / "src" / "posetrep").glob("**/*.py"))
 
 
 def test_traced_names_resolve():
@@ -71,3 +74,30 @@ def test_budgeted_commands_take_budget_flag(tmp_path, capsys):
     argv = ["decompose", "--poset", str(poset), "--rep", str(rep), "--budget", "-1"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sources_parse_at_declared_floor():
+    """pyproject.toml declares the oldest Python it supports, and every
+    source file parses with that version's grammar."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, minor))
+
+
+LOCK_TYPES = ("Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition")
+
+
+def test_one_lock_and_no_globals():
+    """Every cache fills through poset.memo under poset.LOCK: no module
+    assigns a lazy global, and nothing else constructs a lock."""
+    globals_, locks = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                globals_.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call)
+                  and ast.unparse(node.func).rsplit(".", 1)[-1] in LOCK_TYPES):
+                locks.append(path.name)
+    assert globals_ == []
+    assert locks == ["poset.py"]
