@@ -12,12 +12,14 @@ configurations: count_iso_classes, el_indecomposable_count and the
 verification harness's counts read the core, and only
 rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
-derive/recurse/integrate induction alone.
+derive/recurse/integrate induction alone; the derived posets and subordinate
+roots of that route are kept per labelled order, shared by equal posets and
+by every field.
 
-The census caches, the spaces and their tables may be filled from several
-threads: each fills through poset.memo, so a hit is a lock-free read and a
-miss is built under the package's one lock, and the stabilizer tables grow
-under the same lock.
+The census caches, the spaces and their tables, and the route tables may be
+filled from several threads: each fills through poset.memo, so a hit is a
+lock-free read and a miss is built under the package's one lock, and the
+stabilizer tables grow under the same lock.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .derivation import derive_poset, integrate, subordinate_dimensions
+from .derivation import DerivedPoset, derive_poset, integrate, subordinate_dimensions
 from .errors import (
     BudgetExceeded,
     ConstructionFailed,
@@ -581,6 +583,24 @@ def _construct_root(poset: Poset, d: DimensionVector, field: FieldSpec) -> Matri
     return MatrixRep(poset, field, u.d0, {a: u.blocks[a] for a in sub.elements})
 
 
+# The route depends on the labelled order alone, not on the field or the
+# Poset object: the derived poset at each pivot, and the subordinate
+# dimensions there that are finite-type roots, in subordinate_dimensions order.
+_DERIVED: dict[tuple, DerivedPoset] = {}
+_SUBORDINATE_ROOTS: dict[tuple, tuple[DimensionVector, ...]] = {}
+
+
+def _subordinate_roots(context: DerivedPoset,
+                       d: DimensionVector) -> tuple[DimensionVector, ...]:
+    derived, out = context.result, []
+    for dprime in subordinate_dimensions(context, d):
+        if dprime.total() >= d.total():
+            raise InvariantViolated(f"subordinate dimension {dprime} is not below {d}")
+        if tits_value(derived, dprime) == 1 and is_finite_type(derived, dprime):
+            out.append(dprime)
+    return tuple(out)
+
+
 def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec) -> MatrixRep:
     if d.d0 == 0:
         items = list(d.values.items())
@@ -592,18 +612,13 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec) -> Ma
         if any(d.get(a) != 1 for a in members):
             raise InvariantViolated(f"root {d} with one row has an entry above 1")
         return antichain_unit_element(poset, field, members)
-    maxes = maximal_elements(poset)
+    order, maxes = (poset.elements, poset._lt), maximal_elements(poset)
     for a in poset.elements:
         if a not in maxes:
             continue
-        context = derive_poset(poset, a)
-        derived = context.result
-        for dprime in subordinate_dimensions(context, d):
-            if dprime.total() >= d.total():
-                raise InvariantViolated(f"subordinate dimension {dprime} is not below {d}")
-            if tits_value(derived, dprime) != 1 or not is_finite_type(derived, dprime):
-                continue
-            candidate = integrate(_construct_root(derived, dprime, field), context)
+        context = memo(_DERIVED, (order, a), derive_poset, poset, a)
+        for dprime in memo(_SUBORDINATE_ROOTS, (order, a, d), _subordinate_roots, context, d):
+            candidate = integrate(_construct_root(context.result, dprime, field), context)
             if dimension_of(candidate) == d:
                 return candidate
     raise ConstructionFailed(

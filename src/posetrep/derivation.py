@@ -19,7 +19,6 @@ from .linalg import (
     solve_columns,
     span_intersection,
     span_sum,
-    vstack,
 )
 from .poset import (
     Poset,
@@ -142,28 +141,28 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
         raise ContextMismatch("element is not defined over the given derived poset")
     base, a = context.base, context.pivot
     field, D0 = v.field, v.d0
-    pair_order = list(context.pairs)
-    pair_cols = {pm.label: v.cols(pm.label) for pm in pair_order}
-    new_rows = sum(pair_cols.values())
-    row_offset = {}
-    off = 0
-    for pm in pair_order:
-        row_offset[pm.label] = off
-        off += pair_cols[pm.label]
+    zero, one = field.zero(), field.one()
+    widths = [v.cols(pm.label) for pm in context.pairs]
+    offsets = list(itertools.accumulate(widths, initial=0))
+    new_rows = offsets[-1]
 
-    def with_zero_rows(top: ExactMatrix) -> ExactMatrix:
-        return vstack([top, ExactMatrix.zeros(field, new_rows, top.cols)])
-
-    def pair_column_block(pm: PairMark, b: str) -> ExactMatrix:
-        cols = pair_cols[pm.label]
-        top = v.blocks[pm.label] if b == pm.second else ExactMatrix.zeros(field, D0, cols)
-        bottom = ExactMatrix.zeros(field, new_rows, cols)
-        if cols:
-            rows = [list(r) for r in bottom.data]
-            for j in range(cols):
-                rows[row_offset[pm.label] + j][j] = field.one()
-            bottom = ExactMatrix(field, new_rows, cols, rows)
-        return vstack([top, bottom])
+    def assemble(own: ExactMatrix, b: str) -> ExactMatrix:
+        """own's rows, then b's pair columns: the pair block on the old rows
+        when b is p'' (zeros otherwise), an identity on the pair's new rows."""
+        joined = [(k, pm) for k, pm in enumerate(context.pairs) if b in pm.members]
+        cols = own.cols + sum(widths[k] for k, _ in joined)
+        old = [list(r) for r in own.data]
+        new = [[zero] * cols for _ in range(new_rows)]
+        lead = own.cols
+        for k, pm in joined:
+            w = widths[k]
+            top = v.blocks[pm.label].data if b == pm.second else [(zero,) * w] * D0
+            for row, tail in zip(old, top):
+                row.extend(tail)
+            for j in range(w):
+                new[offsets[k] + j][lead + j] = one
+            lead += w
+        return ExactMatrix(field, D0 + new_rows, cols, old + new)
 
     delta_prime = strict_lower_cone(base, a)
     theta = incomparables(base, a)
@@ -172,14 +171,9 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
         if b == a:
             flat = hstack([ExactMatrix.zeros(field, D0, 0)]
                           + [v.blocks[x] for x in base.elements if x in delta_prime])
-            completion = complete_to_full_rank(flat)
-            blocks[b] = with_zero_rows(completion)
-        elif b in delta_prime:
-            blocks[b] = with_zero_rows(v.blocks[b])
-        elif b in theta:
-            parts = [with_zero_rows(v.blocks[b])]
-            parts += [pair_column_block(pm, b) for pm in pair_order if b in pm.members]
-            blocks[b] = hstack(parts)
+            blocks[b] = assemble(complete_to_full_rank(flat), b)
+        elif b in delta_prime or b in theta:
+            blocks[b] = assemble(v.blocks[b], b)
         else:
             # comparable with a but not below: impossible for a maximal pivot
             raise ValidationError(f"element {b!r} sits above the maximal pivot")

@@ -323,20 +323,6 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix(field, rows, sum(m.cols for m in mats), data)
 
 
-def vstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    mats = list(mats)
-    if not mats:
-        raise ValidationError("vstack of an empty list needs an explicit shape")
-    field, cols = mats[0].field, mats[0].cols
-    for m in mats[1:]:
-        if m.field != field:
-            raise FieldMismatch("vstack over mixed fields")
-        if m.cols != cols:
-            raise ValidationError("vstack column-count mismatch")
-    data = [row for m in mats for row in m.data]
-    return ExactMatrix(field, sum(m.rows for m in mats), cols, data)
-
-
 # -- span utilities ------------------------------------------------------------
 
 

@@ -9,8 +9,10 @@ import random
 import pytest
 
 import posetrep as pr
+from posetrep import classify
+from posetrep import poset as poset_module
 from posetrep.classify import _all_dimensions as all_dimensions  # noqa: F401
-from posetrep.linalg import ExactMatrix, hstack, vstack
+from posetrep.linalg import ExactMatrix, hstack
 from posetrep.poset import Poset, canonical_form, strict_lower_cone
 
 
@@ -96,6 +98,12 @@ def chain_cover(p: Poset) -> list[tuple[str, ...]]:
                 chain.append(match_left[chain[-1]])
             chains.append(tuple(chain))
     return chains
+
+
+def vstack(mats: list[ExactMatrix]) -> ExactMatrix:
+    """The matrices stacked top to bottom (the constructor checks the widths)."""
+    return ExactMatrix(mats[0].field, sum(m.rows for m in mats), mats[0].cols,
+                       [row for m in mats for row in m.data])
 
 
 def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -236,3 +244,35 @@ def chain4():
 @pytest.fixture(scope="session")
 def kposet():
     return pr.poset_K()
+
+
+def cold():
+    """Empty every module-level memo table: the census caches, the shared
+    critical embeddings and the construction routes, so the next census or
+    construction is computed afresh.  The stabilizers and their tables live
+    on the spaces and go with them."""
+    classify._CENSUS_CACHE.clear()
+    classify._SPACES.clear()
+    classify._DERIVED.clear()
+    classify._SUBORDINATE_ROOTS.clear()
+    poset_module._EMBEDDINGS.clear()
+
+
+def positive_roots(p):
+    """Every nonzero d ≥ 0 with Q(d) = 1, on a representation-finite poset p.
+    Q is then a weakly positive unit form, so each such d that is not a unit
+    vector stays a root after lowering some entry by one (Ringel, LNM 1099),
+    and adding unit vectors to the unit vectors reaches every one."""
+    def dim(v):
+        return pr.DimensionVector(v[0], dict(zip(p.elements, v[1:])))
+
+    units = [tuple(int(i == j) for i in range(len(p) + 1)) for j in range(len(p) + 1)]
+    seen, todo = set(units), list(units)
+    while todo:
+        v = todo.pop()
+        for u in units:
+            w = tuple(a + b for a, b in zip(v, u))
+            if w not in seen and pr.is_root(p, dim(w)):
+                seen.add(w)
+                todo.append(w)
+    return [dim(v) for v in sorted(seen)]

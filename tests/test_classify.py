@@ -1,11 +1,13 @@
 """Counting oracles, constructor, and the verification harness."""
 
+import collections
+
 import pytest
 
 import posetrep as pr
 from posetrep import classify
 
-from conftest import all_dimensions, matrix_indecomposables
+from conftest import all_dimensions, matrix_indecomposables, positive_roots
 
 F2, F3 = pr.GF(2), pr.GF(3)
 
@@ -167,6 +169,51 @@ def test_construction_uses_no_census(a3, chain4, kposet, monkeypatch):
                 assert pr.dimension_of(u) == d and u.field == field
                 built += 1
     assert built == 3 * 66
+
+
+def test_equal_posets_share_one_route(monkeypatch):
+    """Derived posets and subordinate roots are kept per labelled order, so
+    equal posets and all three fields share one derivation per pivot and one
+    subordinate list per (pivot, dimension); each element stays over the
+    caller's poset and equals the one built from cold tables, also on a
+    poset with the same labels in another order."""
+    derived, subordinate = collections.Counter(), collections.Counter()
+    derive, subordinates = classify.derive_poset, classify.subordinate_dimensions
+
+    def counting_derive(p, a):
+        derived[p.elements, p._lt, a] += 1
+        return derive(p, a)
+
+    def counting_subordinates(context, d):
+        base = context.base
+        subordinate[base.elements, base._lt, context.pivot, d] += 1
+        return subordinates(context, d)
+
+    monkeypatch.setattr(classify, "_DERIVED", {})
+    monkeypatch.setattr(classify, "_SUBORDINATE_ROOTS", {})
+    monkeypatch.setattr(classify, "derive_poset", counting_derive)
+    monkeypatch.setattr(classify, "subordinate_dimensions", counting_subordinates)
+    first, second = pr.primitive_poset(1, 2, 4), pr.primitive_poset(1, 2, 4)
+    assert first is not second and first == second
+    roots = [d for d in positive_roots(first) if d.d0 > 1]  # the derived ones
+    top = max(roots, key=lambda d: d.total())
+    u = pr.construct_indecomposable(first, top, F2)
+    ran = sum(derived.values())
+    assert ran > 1 and u.poset is first
+    w = pr.construct_indecomposable(second, top, F2)
+    assert w == u and w.poset is second and sum(derived.values()) == ran
+
+    # the dual order has the same labels and the same maximal a1, but other
+    # derived posets: a key without the order would hand it those of first
+    dual = pr.build_poset(first.elements, [(b, a) for a, b in first._lt])
+    jobs = [(first, d, f) for d in roots for f in (pr.QQ, F2, F3)]
+    jobs += [(dual, d, F2) for d in positive_roots(dual) if d.d0 > 1]
+    built = [pr.construct_indecomposable(*job) for job in jobs]
+    assert max(derived.values()) == 1 and max(subordinate.values()) == 1
+    for job, u in zip(jobs, built):
+        classify._DERIVED.clear()
+        classify._SUBORDINATE_ROOTS.clear()
+        assert u is not None and pr.construct_indecomposable(*job) == u
 
 
 def test_construct_on_k_subposet(kposet):

@@ -1,15 +1,19 @@
 """Derived posets, differentiation/integration, subordinate dimensions."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
 import posetrep as pr
-from posetrep.linalg import ExactMatrix, solve_columns, span_intersection
+from posetrep import classify
+from posetrep.linalg import (ExactMatrix, complete_to_full_rank, hstack, solve_columns,
+                             span_intersection)
+from posetrep.poset import incomparables, strict_lower_cone
 from posetrep.reps import rep_decompose
 
-from conftest import all_dimensions, random_element
+from conftest import all_dimensions, positive_roots, random_element, vstack
 
 F2, F3 = pr.GF(2), pr.GF(3)
 
@@ -120,6 +124,69 @@ def test_integrate_zero_element_completion(a3, a3ctx):
 def test_integrate_context_mismatch(a3, a3ctx):
     with pytest.raises(pr.ContextMismatch):
         pr.integrate(pr.MatrixRep(a3, F2, 1, {}), a3ctx)
+
+
+def stacked_integrate(v, context):
+    """Reference oracle: integrate with every block stacked from pieces, the
+    old rows over zero rows, and each pair's columns as its block (or zeros)
+    over a column of identities on its own new rows."""
+    base, a = context.base, context.pivot
+    field, d0 = v.field, v.d0
+    widths = {pm.label: v.cols(pm.label) for pm in context.pairs}
+    new_rows = sum(widths.values())
+    offset, row_offset = 0, {}
+    for pm in context.pairs:
+        row_offset[pm.label] = offset
+        offset += widths[pm.label]
+
+    def with_zero_rows(top):
+        return vstack([top, ExactMatrix.zeros(field, new_rows, top.cols)])
+
+    def pair_column_block(pm, b):
+        cols = widths[pm.label]
+        top = v.blocks[pm.label] if b == pm.second else ExactMatrix.zeros(field, d0, cols)
+        rows = [[field.zero()] * cols for _ in range(new_rows)]
+        for j in range(cols):
+            rows[row_offset[pm.label] + j][j] = field.one()
+        return vstack([top, ExactMatrix(field, new_rows, cols, rows)])
+
+    below = strict_lower_cone(base, a)
+    theta = incomparables(base, a)
+    blocks = {}
+    for b in base.elements:
+        if b == a:
+            flat = hstack([ExactMatrix.zeros(field, d0, 0)]
+                          + [v.blocks[x] for x in base.elements if x in below])
+            blocks[b] = with_zero_rows(complete_to_full_rank(flat))
+        elif b in below:
+            blocks[b] = with_zero_rows(v.blocks[b])
+        elif b in theta:
+            blocks[b] = hstack([with_zero_rows(v.blocks[b])]
+                               + [pair_column_block(pm, b) for pm in context.pairs
+                                  if b in pm.members])
+    return pr.MatrixRep(base, field, d0 + new_rows, blocks)
+
+
+def test_integrate_matches_stacked_oracle(monkeypatch):
+    """Every integration that the construction of a positive root of (1,2,4)
+    makes, over Q, GF(2) and GF(3), gives the element the stacked oracle
+    gives."""
+    checked = collections.Counter()
+
+    def checking(v, context):
+        got = pr.integrate(v, context)
+        assert got == stacked_integrate(v, context)
+        checked[v.field.label(), got.d0 > v.d0] += 1
+        return got
+
+    monkeypatch.setattr(classify, "integrate", checking)
+    p = pr.primitive_poset(1, 2, 4)
+    for field in (pr.QQ, F2, F3):
+        for d in positive_roots(p):
+            assert pr.construct_indecomposable(p, d, field) is not None
+    # 124 integrations per field, all but 3 of them adding pair rows
+    assert checked == {(f.label(), new): 121 if new else 3
+                       for f in (pr.QQ, F2, F3) for new in (True, False)}
 
 
 def test_round_trip_random(poset_catalog):

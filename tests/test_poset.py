@@ -10,7 +10,8 @@ import posetrep as pr
 from posetrep import poset as poset_module
 from posetrep.poset import canonical_form, critical_posets, order_embeddings
 
-from conftest import all_antichains, all_posets_upto, chain_cover, is_antichain, is_chain
+from conftest import (all_antichains, all_posets_upto, chain_cover, is_antichain, is_chain,
+                      positive_roots)
 
 
 def test_build_singleton():
@@ -253,26 +254,6 @@ def test_order_embeddings_match_brute_force(poset_catalog):
             counts[kind].append(len(got))
     # K and (1,2,5) have no automorphism but the identity, (1,3,3) swaps its 3-chains
     assert counts == {"T133": [0, 0, 2, 0], "T125": [0, 1, 0, 0], "K": [1, 0, 0, 1]}
-
-
-def positive_roots(p):
-    """Every nonzero d ≥ 0 with Q(d) = 1, on a representation-finite poset p.
-    Q is then a weakly positive unit form, so each such d that is not a unit
-    vector stays a root after lowering some entry by one (Ringel, LNM 1099),
-    and adding unit vectors to the unit vectors reaches every one."""
-    def dim(v):
-        return pr.DimensionVector(v[0], dict(zip(p.elements, v[1:])))
-
-    units = [tuple(int(i == j) for i in range(len(p) + 1)) for j in range(len(p) + 1)]
-    seen, todo = set(units), list(units)
-    while todo:
-        v = todo.pop()
-        for u in units:
-            w = tuple(a + b for a, b in zip(v, u))
-            if w not in seen and pr.is_root(p, dim(w)):
-                seen.add(w)
-                todo.append(w)
-    return [dim(v) for v in sorted(seen)]
 
 
 def test_equal_posets_share_one_embedding_search(monkeypatch):

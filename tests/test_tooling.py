@@ -2,8 +2,9 @@
 mode looks them up by string, the README's library example calls them, and
 the README and the cli docstring name the commands that take --budget.
 An API cut that drops one of them must fail here.  Also the source rules
-no test run shows: the Python floor pyproject.toml declares, and the one
-lock that every memo table fills under."""
+no test run shows: the Python floor pyproject.toml declares, the one
+lock that every memo table fills under, and a cold() that empties every
+module-level memo table."""
 
 import argparse
 import ast
@@ -15,6 +16,8 @@ import re
 import posetrep as pr
 from posetrep import cli
 from posetrep.linalg import ExactMatrix
+
+from conftest import cold
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -101,3 +104,40 @@ def test_one_lock_and_no_globals():
                 locks.append(path.name)
     assert globals_ == []
     assert locks == ["poset.py"]
+
+
+def module_memo_tables():
+    """(module, name) of every module-level table that src/ passes to memo()."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {target.id for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name)}
+        found.update((f"posetrep.{path.stem}", node.args[0].id) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "memo"
+                     and isinstance(node.args[0], ast.Name) and node.args[0].id in names)
+    return sorted(found)
+
+
+def test_cold_empties_every_memo_table():
+    """A test that patches a builder must start from cold tables, or a value
+    an earlier test stored stands in for the patched call: cold() has to
+    reach every table, and one construction and one census fill them all."""
+    tables = module_memo_tables()
+    assert {name for _, name in tables} >= {"_SPACES", "_CENSUS_CACHE", "_EMBEDDINGS",
+                                            "_DERIVED", "_SUBORDINATE_ROOTS"}
+
+    def sizes():
+        return {f"{mod}.{name}": len(getattr(importlib.import_module(mod), name))
+                for mod, name in tables}
+
+    cold()
+    a3 = pr.build_poset(["x", "y", "z"], [])
+    d = pr.DimensionVector(2, {"x": 1, "y": 1, "z": 1})
+    assert pr.construct_indecomposable(a3, d, pr.GF(2)) is not None
+    assert pr.count_iso_classes(a3, d, pr.GF(2)) > 0
+    assert all(sizes().values()), sizes()
+    cold()
+    assert not any(sizes().values()), sizes()
