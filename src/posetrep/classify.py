@@ -14,12 +14,15 @@ rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
 roots of that route are kept per labelled order, shared by equal posets and
-by every field.
+by every field.  The main theorem makes the indecomposable of a root unique,
+so _ROOTS keeps each built one per labelled support order, dimension and
+field, as its row count and blocks with no poset in them; every call wraps
+the blocks over the caller's own poset.
 
-The census caches, the spaces and their tables, and the route tables may be
-filled from several threads: each fills through poset.memo, so a hit is a
-lock-free read and a miss is built under the package's one lock, and the
-stabilizer tables grow under the same lock.
+The census caches, the spaces and their tables, the route tables and the
+built roots may be filled from several threads: each fills through
+poset.memo, so a hit is a lock-free read and a miss is built under the
+package's one lock, and the stabilizer tables grow under the same lock.
 """
 
 from __future__ import annotations
@@ -575,12 +578,23 @@ def construct_indecomposable(poset: Poset, d: DimensionVector,
     return _construct_root(poset, d, field)
 
 
+# One built root per labelled support order, dimension and field, as
+# (d0, blocks): no poset in it, so the table keeps no poset alive.
+_ROOTS: dict[tuple, tuple[int, dict[str, ExactMatrix]]] = {}
+
+
 def _construct_root(poset: Poset, d: DimensionVector, field: FieldSpec) -> MatrixRep:
     """The indecomposable of the finite-type root d, built on its support."""
     supp = poset.sorted_subset(d.support())
-    sub = induced_subposet(poset, supp)
-    u = _construct_sincere(sub, d.restrict(supp), field)
-    return MatrixRep(poset, field, u.d0, {a: u.blocks[a] for a in sub.elements})
+    sub, dsub = induced_subposet(poset, supp), d.restrict(supp)
+    key = (sub.elements, sub._lt, dsub, field)
+    d0, blocks = memo(_ROOTS, key, _build_root, sub, dsub, field)
+    return MatrixRep(poset, field, d0, blocks)
+
+
+def _build_root(sub: Poset, d: DimensionVector, field: FieldSpec):
+    u = _construct_sincere(sub, d, field)
+    return u.d0, u.blocks
 
 
 # The route depends on the labelled order alone, not on the field or the

@@ -60,14 +60,15 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
 
     The marking is deterministic: p' is the member with the smaller input
     index, unless exactly one member is maximal in the base poset, in which
-    case the maximal member becomes p''.
+    case the maximal member becomes p''.  A pair {b,c} is labelled "{b,c}",
+    with ' appended until the label is not already taken.
     """
     p.check_element(a)
     maxes = maximal_elements(p)
     if a not in maxes:
         raise NotMaximal(f"{a!r} is not maximal")
     theta = p.sorted_subset(incomparables(p, a))
-    marks = []
+    marks, taken = [], set(p.elements)
     for b, c in itertools.combinations(theta, 2):
         if p.comparable(b, c):
             continue
@@ -76,7 +77,11 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
             prime, second = (c, b) if b_max else (b, c)
         else:
             prime, second = b, c
-        marks.append(PairMark(pair_label(b, c), (b, c), prime, second))
+        label = pair_label(b, c)
+        while label in taken:  # a pair adjoined by an earlier derivation
+            label += "'"
+        taken.add(label)
+        marks.append(PairMark(label, (b, c), prime, second))
 
     member_sets: dict[str, tuple[str, ...]] = {x: (x,) for x in p.elements if x != a}
     provenance: dict[str, tuple] = {x: ("element", x) for x in p.elements if x != a}
@@ -162,7 +167,7 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
             for j in range(w):
                 new[offsets[k] + j][lead + j] = one
             lead += w
-        return ExactMatrix(field, D0 + new_rows, cols, old + new)
+        return ExactMatrix._of(field, D0 + new_rows, cols, tuple(map(tuple, old + new)))
 
     delta_prime = strict_lower_cone(base, a)
     theta = incomparables(base, a)

@@ -168,9 +168,21 @@ class ExactMatrix:
         return cls(field, r, c, coerced)
 
     @classmethod
+    def _of(cls, field: FieldSpec, rows: int, cols: int, data: tuple) -> "ExactMatrix":
+        """A matrix over data, a tuple of row tuples of this shape that the
+        package built itself: stored as is, without the copy and the check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
+    @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        if rows < 0 or cols < 0:
+            raise ValidationError("matrix dimensions must be non-negative")
+        return cls._of(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":

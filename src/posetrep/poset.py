@@ -212,8 +212,20 @@ def width(p: Poset) -> tuple[int, Antichain]:
 
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
+    """p's order on subset: a restriction of a valid order is valid, so the
+    tables are p's intersected with the members, not closed and re-checked."""
     members = p.sorted_subset(subset)
-    return Poset(members, [(a, b) for a in members for b in p._up[a] if b in members])
+    keep = frozenset(members)
+    sub = object.__new__(Poset)
+    for name, value in (
+            ("elements", members),
+            ("_index", {a: i for i, a in enumerate(members)}),
+            ("_lt", frozenset((a, b) for a in members for b in p._up[a] & keep)),
+            ("_down", {a: p._down[a] & keep for a in members}),
+            ("_up", {a: p._up[a] & keep for a in members}),
+            ("_cache", {})):
+        object.__setattr__(sub, name, value)
+    return sub
 
 
 # -- critical posets ----------------------------------------------------------------

@@ -48,11 +48,12 @@ class MatrixRep:
         if d0 < 0:
             raise ValidationError("row count must be non-negative")
         blocks = dict(blocks or {})
+        empty = ExactMatrix.zeros(field, d0, 0)
         full = {}
         for a in poset.elements:
             m = blocks.pop(a, None)
             if m is None:
-                m = ExactMatrix.zeros(field, d0, 0)
+                m = empty
             if m.field != field:
                 raise FieldMismatch(f"block {a!r} is over {m.field.label()}")
             if m.rows != d0:

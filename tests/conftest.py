@@ -248,13 +248,14 @@ def kposet():
 
 def cold():
     """Empty every module-level memo table: the census caches, the shared
-    critical embeddings and the construction routes, so the next census or
-    construction is computed afresh.  The stabilizers and their tables live
-    on the spaces and go with them."""
+    critical embeddings, the construction routes and the built roots, so the
+    next census or construction is computed afresh.  The stabilizers and
+    their tables live on the spaces and go with them."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
     classify._DERIVED.clear()
     classify._SUBORDINATE_ROOTS.clear()
+    classify._ROOTS.clear()
     poset_module._EMBEDDINGS.clear()
 
 

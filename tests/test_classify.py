@@ -7,7 +7,7 @@ import pytest
 import posetrep as pr
 from posetrep import classify
 
-from conftest import all_dimensions, matrix_indecomposables, positive_roots
+from conftest import all_dimensions, cold, matrix_indecomposables, positive_roots
 
 F2, F3 = pr.GF(2), pr.GF(3)
 
@@ -191,6 +191,7 @@ def test_equal_posets_share_one_route(monkeypatch):
 
     monkeypatch.setattr(classify, "_DERIVED", {})
     monkeypatch.setattr(classify, "_SUBORDINATE_ROOTS", {})
+    monkeypatch.setattr(classify, "_ROOTS", {})
     monkeypatch.setattr(classify, "derive_poset", counting_derive)
     monkeypatch.setattr(classify, "subordinate_dimensions", counting_subordinates)
     first, second = pr.primitive_poset(1, 2, 4), pr.primitive_poset(1, 2, 4)
@@ -213,7 +214,38 @@ def test_equal_posets_share_one_route(monkeypatch):
     for job, u in zip(jobs, built):
         classify._DERIVED.clear()
         classify._SUBORDINATE_ROOTS.clear()
+        classify._ROOTS.clear()
         assert u is not None and pr.construct_indecomposable(*job) == u
+
+
+def test_roots_built_once_per_support_order(monkeypatch):
+    """A finite-type root has one indecomposable, so it is built once per
+    labelled support order, dimension and field: the roots of (1,2,2) are
+    roots of (1,2,4) on the same labelled support and build nothing new.
+    Each element stays over its caller's poset and equals the one built
+    again from cold tables."""
+    cold()
+    built = collections.Counter()
+    sincere = classify._construct_sincere
+
+    def counting(poset, d, field):
+        built[poset.elements, poset._lt, d, field] += 1
+        return sincere(poset, d, field)
+
+    monkeypatch.setattr(classify, "_construct_sincere", counting)
+
+    def build(p):
+        jobs = [(p, d, f) for d in positive_roots(p) for f in (pr.QQ, F2, F3)]
+        return [(job, pr.construct_indecomposable(*job)) for job in jobs]
+
+    made = build(pr.primitive_poset(1, 2, 4))
+    on_first = sum(built.values())
+    made += build(pr.primitive_poset(1, 2, 2))
+    assert max(built.values()) == 1 and sum(built.values()) == on_first > 100
+    for (p, d, f), u in made:
+        assert u.poset is p and pr.dimension_of(u) == d
+        cold()
+        assert pr.construct_indecomposable(p, d, f) == u
 
 
 def test_construct_on_k_subposet(kposet):

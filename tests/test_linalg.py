@@ -48,6 +48,20 @@ def test_rref_zero():
     assert r == m and rank == 0
 
 
+def test_shapes_are_still_checked():
+    """zeros and the public constructor validate their shapes; only matrices
+    the package assembles itself skip the check."""
+    for rows, cols in ((-1, 0), (0, -1)):
+        with pytest.raises(pr.ValidationError):
+            ExactMatrix.zeros(F2, rows, cols)
+    for rows, cols, data in ((2, 2, [[1, 0]]), (1, 2, [[1]]), (-1, 0, []), (1, 1, [[1], [0]])):
+        with pytest.raises(pr.ValidationError):
+            ExactMatrix(F2, rows, cols, data)
+    z = ExactMatrix.zeros(pr.QQ, 2, 3)
+    assert z == ExactMatrix(pr.QQ, 2, 3, [[Fraction(0)] * 3] * 2)
+    assert z.data == ((0, 0, 0), (0, 0, 0)) and ExactMatrix.zeros(F2, 0, 4).cols == 4
+
+
 def test_rref_repeated_row():
     m = ExactMatrix.from_rows(F2, [[1, 1], [1, 1]])
     r, _, rank = m.rref()

@@ -8,7 +8,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import poset as poset_module
-from posetrep.poset import canonical_form, critical_posets, order_embeddings
+from posetrep.poset import Poset, canonical_form, critical_posets, order_embeddings
 
 from conftest import (all_antichains, all_posets_upto, chain_cover, is_antichain, is_chain,
                       positive_roots)
@@ -160,6 +160,21 @@ def test_induced_subposet(kposet):
     assert empty.elements == ()
     with pytest.raises(pr.UnknownElement):
         pr.induced_subposet(kposet, ["nope"])
+
+
+def test_induced_subposet_restricts_tables(kposet, poset_catalog):
+    """The restricted tables equal those a fully validated Poset builds."""
+    checked = 0
+    for p in [kposet, *poset_catalog]:
+        for r in range(len(p) + 1):
+            for sub in itertools.combinations(p.elements, r):
+                q = pr.induced_subposet(p, reversed(sub))
+                full = Poset(sub, [(a, b) for a, b in p._lt if a in sub and b in sub])
+                assert (q.elements, q._lt, q._down, q._up, q._index) == \
+                    (full.elements, full._lt, full._down, full._up, full._index)
+                assert q == full and hash(q) == hash(full) and q._cache == {}
+                checked += 1
+    assert checked == 256 + sum(2 ** len(p) for p in poset_catalog)
 
 
 def test_critical_embeddings_t125():
