@@ -43,9 +43,9 @@ from .errors import (
     NotFiniteType,
     ValidationError,
 )
-from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref
+from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref, _columns
 from .poset import (LOCK, Poset, canonical_form, induced_subposet, maximal_elements,
-                    memo, strict_lower_cone)
+                    memo, strict_lower_cone, _cones)
 from .reps import (
     MatrixRep,
     SubspaceRep,
@@ -59,6 +59,7 @@ from .reps import (
     rho,
     special_T,
     _find_splitting_idempotent,
+    _padded_blocks,
 )
 from .tits import (
     DEFAULT_SCAN_BUDGET,
@@ -194,8 +195,7 @@ class SubspaceSpace:
     def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
         """Canonical basis of the subspace, as columns of an ExactMatrix."""
         rows = self._basis[sid]
-        return ExactMatrix(field, self.n, len(rows),
-                           [tuple(row[i] for row in rows) for i in range(self.n)])
+        return ExactMatrix._of(field, self.n, len(rows), _columns(rows, self.n))
 
 
 class _Stabilizer:
@@ -412,7 +412,7 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     for cfg in reps:
         subs = {a: space.to_matrix(cfg[i], field)
                 for i, a in enumerate(canon.elements)}
-        v = SubspaceRep(canon, field, d.d0, subs)
+        v = SubspaceRep._of(canon, field, d.d0, subs)
         basis = [m.f for m in rep_hom_basis(v, v)]
         if _find_splitting_idempotent(basis, d.d0, field) is None:
             indec.append(cfg)
@@ -444,7 +444,8 @@ def _relabel_support(poset: Poset, d: DimensionVector):
 def _cold_census(key: tuple, budget: int) -> _CensusCore:
     """The census core of a cache key, on the canonically labelled support."""
     n, rels, (d0, values), p = key
-    canon = Poset([str(i) for i in range(n)], rels)
+    labels = tuple(str(i) for i in range(n))
+    canon = Poset._of(labels, rels, *_cones(labels, rels))
     return _census_core(canon, DimensionVector(d0, dict(values)), p, budget)
 
 
@@ -489,9 +490,9 @@ def _lift_configs(poset: Poset, d0: int, field: FieldSpec, order: tuple[str, ...
     space = _space(field.p, d0)
     out = []
     for cfg in configs:
-        subs = {order[i]: space.to_matrix(cfg[i], field) for i in range(len(order))}
-        u = lift(SubspaceRep(sub, field, d0, subs))
-        out.append(MatrixRep(poset, field, d0, {a: u.blocks[a] for a in sub.elements}))
+        subs = {a: space.to_matrix(cfg[order.index(a)], field) for a in sub.elements}
+        u = lift(SubspaceRep._of(sub, field, d0, subs))
+        out.append(MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, u.blocks)))
     return tuple(out)
 
 
@@ -589,7 +590,7 @@ def _construct_root(poset: Poset, d: DimensionVector, field: FieldSpec) -> Matri
     sub, dsub = induced_subposet(poset, supp), d.restrict(supp)
     key = (sub.elements, sub._lt, dsub, field)
     d0, blocks = memo(_ROOTS, key, _build_root, sub, dsub, field)
-    return MatrixRep(poset, field, d0, blocks)
+    return MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, blocks))
 
 
 def _build_root(sub: Poset, d: DimensionVector, field: FieldSpec):

@@ -182,7 +182,7 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
         else:
             # comparable with a but not below: impossible for a maximal pivot
             raise ValidationError(f"element {b!r} sits above the maximal pivot")
-    result = MatrixRep(base, field, D0 + new_rows, blocks)
+    result = MatrixRep._of(base, field, D0 + new_rows, blocks)
     expected = dstar(dimension_of(v), context, blocks[a].cols)
     if dimension_of(result) != expected:
         raise InvariantViolated(

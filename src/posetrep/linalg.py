@@ -2,9 +2,12 @@
 
 Matrices are immutable value objects.  Entries are kept canonical at all
 times: integers in [0, p) over a prime field, Fraction in lowest terms over
-the rationals.  There is no floating point anywhere in this module.  Every
-elimination goes through one Gauss-Jordan kernel, rref, which resolves the
-field once per call.
+the rationals.  There is no floating point anywhere: FieldSpec.coerce and
+the public ExactMatrix constructor reject floats and bools.  The public
+constructor checks the shape and every entry; every matrix an operation
+here returns is built through ExactMatrix._of, which trusts its data.
+Every elimination goes through one Gauss-Jordan kernel, rref, which
+resolves the field once per call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, ValidationError
+from .value import Value
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
@@ -73,17 +77,22 @@ class FieldSpec:
         return 1 if self.kind == "gf" else Fraction(1)
 
     def coerce(self, x):
-        """Normalize an int / Fraction / "a/b" string into this field."""
-        if self.kind == "gf":
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise ValidationError(f"{x} has no image in GF({self.p})")
-                return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-            if isinstance(x, str):
-                x = Fraction(x)
-                return self.coerce(x)
-            return int(x) % self.p
-        return Fraction(x)
+        """Normalize an int / Fraction / "a/b" string into this field.  A
+        float or a bool is no exact entry and raises ValidationError."""
+        if isinstance(x, (bool, float)):
+            raise ValidationError(f"{x!r} is not an exact entry of {self.label()}")
+        if self.kind != "gf":
+            return Fraction(x)
+        if type(x) is int:
+            return x % self.p
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise ValidationError(f"{x} has no image in GF({self.p})")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    def is_entry(self, x) -> bool:
+        """An int in [0, p) over GF(p); an int or a Fraction over Q."""
+        return type(x) is int and 0 <= x < self.p if self.p else type(x) in (int, Fraction)
 
 
 def rref(rows: Iterable[Sequence], ncols: int, p: int | None) -> tuple[list[list], list[int]]:
@@ -133,11 +142,18 @@ def GF(p: int) -> FieldSpec:
 QQ = FieldSpec("rationals")
 
 
-class ExactMatrix:
+def _columns(rows: Sequence[Sequence], n: int) -> tuple[tuple, ...]:
+    """The n columns of rows, each a tuple; n empty ones when rows is empty."""
+    return tuple(zip(*rows)) if rows else ((),) * n
+
+
+class ExactMatrix(Value):
     """Immutable dense matrix over a FieldSpec.
 
     Zero-row and zero-column matrices are first-class citizens: both counts
-    are stored explicitly, so a 0xk matrix keeps its column count.
+    are stored explicitly, so a 0xk matrix keeps its column count.  The
+    constructor checks the shape and that every entry is canonical for the
+    field (an int over Q is stored as its Fraction); from_rows coerces.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -150,33 +166,20 @@ class ExactMatrix:
             raise ValidationError(
                 f"matrix data does not match declared shape {rows}x{cols}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExactMatrix is immutable")
+        bad = [x for row in data for x in row if not field.is_entry(x)]
+        if bad:
+            raise ValidationError(f"{bad[0]!r} is not a canonical entry of "
+                                  f"{field.label()}; ExactMatrix.from_rows coerces")
+        if field.p is None:
+            data = tuple(tuple(map(Fraction, row)) for row in data)
+        self._fill(field, rows, cols, data)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
         coerced = [[field.coerce(x) for x in row] for row in rows]
-        r = len(coerced)
-        c = len(coerced[0]) if coerced else 0
-        return cls(field, r, c, coerced)
-
-    @classmethod
-    def _of(cls, field: FieldSpec, rows: int, cols: int, data: tuple) -> "ExactMatrix":
-        """A matrix over data, a tuple of row tuples of this shape that the
-        package built itself: stored as is, without the copy and the check."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        return m
+        return cls(field, len(coerced), len(coerced[0]) if coerced else 0, coerced)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
@@ -187,18 +190,15 @@ class ExactMatrix:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
         z, o = field.zero(), field.one()
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, n, n, tuple(tuple(o if i == j else z for j in range(n))
+                                          for i in range(n)))
 
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return isinstance(other, ExactMatrix) and (
+            self.field, self.rows, self.cols, self.data) == (
+            other.field, other.rows, other.cols, other.data)
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols, self.data))
@@ -211,17 +211,13 @@ class ExactMatrix:
         return all(x == z for row in self.data for x in row)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field, self.cols, self.rows,
-            [tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)],
-        )
+        return ExactMatrix._of(self.field, self.cols, self.rows,
+                               _columns(self.data, self.cols))
 
     def take_columns(self, indices: Iterable[int]) -> "ExactMatrix":
         idx = list(indices)
-        return ExactMatrix(
-            self.field, self.rows, len(idx),
-            [tuple(row[j] for j in idx) for row in self.data],
-        )
+        return ExactMatrix._of(self.field, self.rows, len(idx),
+                               tuple(tuple(row[j] for j in idx) for row in self.data))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -234,7 +230,7 @@ class ExactMatrix:
         p = self.field.p
         if p is not None:
             rows = [[x % p for x in row] for row in rows]
-        return ExactMatrix(self.field, self.rows, self.cols, rows)
+        return ExactMatrix._of(self.field, self.rows, self.cols, tuple(map(tuple, rows)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_field(other)
@@ -257,7 +253,7 @@ class ExactMatrix:
             )
         field = self.field
         zero = field.zero()
-        ot = other.transpose().data
+        ot = _columns(other.data, other.cols)
         out = []
         if field.kind == "gf":
             p = field.p
@@ -270,7 +266,7 @@ class ExactMatrix:
                 out.append(tuple(
                     sum((a * b for a, b in zip(row, col)), zero) for col in ot
                 ))
-        return ExactMatrix(field, self.rows, other.cols, out)
+        return ExactMatrix._of(field, self.rows, other.cols, tuple(out))
 
     def scale(self, c) -> "ExactMatrix":
         c = self.field.coerce(c)
@@ -281,9 +277,9 @@ class ExactMatrix:
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...], int]:
         """Reduced row echelon form, zero rows last; pivot columns; rank."""
         rows, pivots = rref(self.data, self.cols, self.field.p)
-        zero = self.field.zero()
-        rows += [[zero] * self.cols] * (self.rows - len(rows))
-        return ExactMatrix(self.field, self.rows, self.cols, rows), tuple(pivots), len(pivots)
+        rows += [(self.field.zero(),) * self.cols] * (self.rows - len(rows))
+        reduced = ExactMatrix._of(self.field, self.rows, self.cols, tuple(map(tuple, rows)))
+        return reduced, tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -331,8 +327,8 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
             raise FieldMismatch("hstack over mixed fields")
         if m.rows != rows:
             raise ValidationError("hstack row-count mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return ExactMatrix(field, rows, sum(m.cols for m in mats), data)
+    data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
+    return ExactMatrix._of(field, rows, sum(m.cols for m in mats), data)
 
 
 # -- span utilities ------------------------------------------------------------
@@ -345,10 +341,7 @@ def column_space_basis(m: ExactMatrix) -> ExactMatrix:
     spans yield equal matrices.
     """
     R, _, rank = m.transpose().rref()
-    rows = R.data[:rank]
-    return ExactMatrix(m.field, m.rows, rank, [
-        tuple(rows[k][i] for k in range(rank)) for i in range(m.rows)
-    ])
+    return ExactMatrix._of(m.field, m.rows, rank, _columns(R.data[:rank], m.rows))
 
 
 def span_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -359,8 +352,8 @@ def span_intersection(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Canonical basis of colspan(a) ∩ colspan(b): a·x over the solutions
     of a·x = b·y."""
     null = hstack([a, -b]).nullspace_basis() if a.cols and b.cols else []
-    x = ExactMatrix(a.field, a.cols, len(null),
-                    [tuple(v[j] for v in null) for j in range(a.cols)])
+    x = ExactMatrix._of(a.field, a.cols, len(null),
+                        _columns(null, a.cols + b.cols)[:a.cols])
     return column_space_basis(a @ x)
 
 
@@ -381,11 +374,10 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     pivots_in_a = [p for p in pivots if p < a.cols]
     if len(pivots_in_a) < rank:
         return None  # a pivot landed in the b side: inconsistent
-    sol = [[field.zero()] * b.cols for _ in range(a.cols)]
+    sol = [(field.zero(),) * b.cols] * a.cols
     for i, pc in enumerate(pivots_in_a):
-        for j in range(b.cols):
-            sol[pc][j] = R.data[i][a.cols + j]
-    return ExactMatrix(field, a.cols, b.cols, sol)
+        sol[pc] = R.data[i][a.cols:]
+    return ExactMatrix._of(field, a.cols, b.cols, tuple(sol))
 
 
 def _independent_columns(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:

@@ -3,7 +3,10 @@
 Elements are opaque string labels.  A poset owns its order: it stores each
 element's strict down-set and up-set, and every cone, comparability and
 maximality question in the package is answered from these tables.  Queries
-are pure, and a poset is immutable after construction.
+are pure, and a poset is immutable after construction.  The public Poset
+constructor checks its labels and relation.  build_poset checks and closes
+generating relations; it, induced_subposet and the census's canonical
+support build their posets through Poset._of, which trusts its order.
 
 Every memo table in the package fills through memo(), under the one
 reentrant LOCK: a hit is one dict read, a miss builds and stores its value
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, DuplicateLabel, UnknownElement, ValidationError
+from .value import Value
 
 # Reentrant, because a build may fill other tables: a census grows its space's.
 LOCK = threading.RLock()
@@ -34,56 +38,46 @@ def memo(table: dict, key, build, *args):
     return got
 
 
-class Poset:
+class Poset(Value):
     """Finite strict partial order with its tables _down[a] and _up[a], the
     frozensets of elements strictly below and strictly above a, and _cache,
     its memo table of canonical supports keyed by their weights.
 
-    The pairs must be transitively closed (build_poset closes generating
-    relations): a pair given with its reverse raises CycleDetected, and an
-    unclosed relation raises ValidationError.
+    The labels must be distinct strings and the pairs transitively closed
+    (build_poset closes generating relations): a pair given with its reverse
+    raises CycleDetected, and an unclosed relation raises ValidationError.
     """
 
     __slots__ = ("elements", "_index", "_lt", "_down", "_up", "_cache")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
+        if not all(isinstance(a, str) for a in elements):
+            raise ValidationError(f"element labels must be strings, got {list(elements)}")
         if len(set(elements)) != len(elements):
             raise DuplicateLabel("element labels must be pairwise distinct")
-        index = {a: i for i, a in enumerate(elements)}
         lt = frozenset(lt_pairs)
-        down: dict[str, set[str]] = {a: set() for a in elements}
-        up: dict[str, set[str]] = {a: set() for a in elements}
         for a, b in lt:
-            if a not in index or b not in index:
+            if a not in elements or b not in elements:
                 raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
             if a == b:
                 raise CycleDetected(f"irreflexivity violated at {a}")
             if (b, a) in lt:
                 raise CycleDetected(f"cycle through {a} and {b}")
-            down[b].add(a)
-            up[a].add(b)
+        self._fill(elements, lt, *_cones(elements, lt))
         for a, b in lt:
-            if not up[b] <= up[a]:
+            if not self._up[b] <= self._up[a]:
                 raise ValidationError(
                     f"relation is not transitively closed at ({a},{b}); "
                     "use build_poset to close generating relations")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_lt", lt)
-        object.__setattr__(self, "_down", {a: frozenset(s) for a, s in down.items()})
-        object.__setattr__(self, "_up", {a: frozenset(s) for a, s in up.items()})
-        object.__setattr__(self, "_cache", {})
 
-    def __setattr__(self, *args):
-        raise AttributeError("Poset is immutable")
+    def _fill(self, elements: tuple[str, ...], lt: frozenset, down: dict, up: dict):
+        """The slots of labels, a closed acyclic relation and its cones."""
+        super()._fill(elements, {a: i for i, a in enumerate(elements)}, lt, down, up, {})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and self.elements == other.elements
-            and self._lt == other._lt
-        )
+        return isinstance(other, Poset) and (self.elements, self._lt) == (
+            other.elements, other._lt)
 
     def __hash__(self):
         return hash((self.elements, self._lt))
@@ -156,7 +150,18 @@ def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> 
     for a in elements:
         if a in up[a]:
             raise CycleDetected(f"cycle through {a}")
-    return Poset(elements, [(a, b) for a in elements for b in up[a]])
+    lt = frozenset((a, b) for a in elements for b in up[a])
+    return Poset._of(elements, lt, *_cones(elements, lt))
+
+
+def _cones(elements: tuple[str, ...], lt: frozenset) -> tuple[dict, dict]:
+    """The strict down-set and up-set tables of the relation lt."""
+    down: dict[str, list[str]] = {a: [] for a in elements}
+    up: dict[str, list[str]] = {a: [] for a in elements}
+    for a, b in lt:
+        down[b].append(a)
+        up[a].append(b)
+    return {a: frozenset(s) for a, s in down.items()}, {a: frozenset(s) for a, s in up.items()}
 
 
 # -- cone / comparability queries ------------------------------------------------
@@ -212,20 +217,13 @@ def width(p: Poset) -> tuple[int, Antichain]:
 
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
-    """p's order on subset: a restriction of a valid order is valid, so the
-    tables are p's intersected with the members, not closed and re-checked."""
+    """p's order on subset: a restriction of a valid order is valid, so it
+    is not closed and re-checked."""
     members = p.sorted_subset(subset)
     keep = frozenset(members)
-    sub = object.__new__(Poset)
-    for name, value in (
-            ("elements", members),
-            ("_index", {a: i for i, a in enumerate(members)}),
-            ("_lt", frozenset((a, b) for a in members for b in p._up[a] & keep)),
-            ("_down", {a: p._down[a] & keep for a in members}),
-            ("_up", {a: p._up[a] & keep for a in members}),
-            ("_cache", {})):
-        object.__setattr__(sub, name, value)
-    return sub
+    return Poset._of(members, frozenset((a, b) for a in members for b in p._up[a] & keep),
+                     {a: p._down[a] & keep for a in members},
+                     {a: p._up[a] & keep for a in members})
 
 
 # -- critical posets ----------------------------------------------------------------

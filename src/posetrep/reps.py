@@ -4,6 +4,11 @@ An element over a poset S is one block M(a) per element, all sharing a row
 count d0.  The associated representation assigns to a the column span of the
 blocks at or below a.  Morphisms of elements are triangular families
 Φ(0), Φ(a), Φ(ba) subject to  Φ(0)M(a) = M'(a)Φ(a) + Σ_{b≺a} M'(b)Φ(ba).
+
+The public MatrixRep and SubspaceRep constructors check their blocks and
+subspaces; SubspaceRep canonicalizes them.  Every element and representation
+built here goes through _of: its blocks are valid, its subspaces canonical
+and order preserving by construction.
 """
 
 from __future__ import annotations
@@ -29,17 +34,20 @@ from .linalg import (
     resolve_budget,
     solve_columns,
     span_contains,
+    _columns,
     _independent_columns,
 )
 from .poset import Poset, lower_cone, strict_lower_cone
 from .tits import DimensionVector
+from .value import Value
 
 
 # -- core containers ---------------------------------------------------------------
 
 
-class MatrixRep:
-    """Element of the block-matrix category: one d0 x d(a) block per element."""
+class MatrixRep(Value):
+    """Element of the block-matrix category: one d0 x d(a) block per element,
+    in element order; a block the caller leaves out has no columns."""
 
     __slots__ = ("poset", "field", "d0", "blocks")
 
@@ -47,27 +55,17 @@ class MatrixRep:
                  blocks: Mapping[str, ExactMatrix] | None = None):
         if d0 < 0:
             raise ValidationError("row count must be non-negative")
-        blocks = dict(blocks or {})
-        empty = ExactMatrix.zeros(field, d0, 0)
-        full = {}
-        for a in poset.elements:
-            m = blocks.pop(a, None)
-            if m is None:
-                m = empty
+        blocks = blocks or {}
+        full = _padded_blocks(poset, field, d0, blocks)
+        for a, m in full.items():
             if m.field != field:
                 raise FieldMismatch(f"block {a!r} is over {m.field.label()}")
             if m.rows != d0:
                 raise ValidationError(f"block {a!r} has {m.rows} rows, expected {d0}")
-            full[a] = m
-        if blocks:
-            raise UnknownElement(f"blocks given for unknown elements {sorted(blocks)}")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "blocks", full)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MatrixRep is immutable")
+        unknown = sorted(a for a in blocks if a not in poset)
+        if unknown:
+            raise UnknownElement(f"blocks given for unknown elements {unknown}")
+        self._fill(poset, field, d0, full)
 
     def block(self, a: str) -> ExactMatrix:
         self.poset.check_element(a)
@@ -81,12 +79,8 @@ class MatrixRep:
                                for a in self.poset.elements))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MatrixRep)
-            and self.poset == other.poset
-            and self.field == other.field
-            and self.key() == other.key()
-        )
+        return isinstance(other, MatrixRep) and (self.poset, self.field, self.key()) == (
+            other.poset, other.field, other.key())
 
     def __hash__(self):
         return hash((self.poset, self.field, self.key()))
@@ -94,6 +88,14 @@ class MatrixRep:
     def __repr__(self):
         bits = ", ".join(f"{a}:{m.rows}x{m.cols}" for a, m in self.blocks.items())
         return f"MatrixRep(d0={self.d0}, {bits})"
+
+
+def _padded_blocks(poset: Poset, field: FieldSpec, d0: int,
+                  blocks: Mapping[str, ExactMatrix]) -> dict[str, ExactMatrix]:
+    """blocks over every element of poset, in element order: a d0 x 0 block
+    at each element blocks leaves out."""
+    empty = ExactMatrix.zeros(field, d0, 0)
+    return {a: blocks.get(a, empty) for a in poset.elements}
 
 
 def dimension_of(u: MatrixRep) -> DimensionVector:
@@ -108,7 +110,7 @@ def stacked_lower_blocks(u: MatrixRep, a: str, strict: bool = False) -> ExactMat
     return hstack(mats)
 
 
-class SubspaceRep:
+class SubspaceRep(Value):
     """Order-preserving assignment of subspaces of an ambient space.
 
     Basis matrices are canonicalized on construction, so two equal
@@ -122,11 +124,9 @@ class SubspaceRep:
         unknown = [a for a in subspaces if a not in poset]
         if unknown:
             raise UnknownElement(f"subspaces given for unknown elements {sorted(unknown)}")
-        canon = {}
+        canon, empty = {}, ExactMatrix.zeros(field, ambient_dim, 0)
         for a in poset.elements:
-            m = subspaces.get(a)
-            if m is None:
-                m = ExactMatrix.zeros(field, ambient_dim, 0)
+            m = subspaces.get(a, empty)
             if m.rows != ambient_dim or m.field != field:
                 raise ValidationError(f"subspace basis at {a!r} has the wrong shape/field")
             canon[a] = column_space_basis(m)
@@ -135,13 +135,7 @@ class SubspaceRep:
                 raise ValidationError(
                     f"not order preserving: V({a}) is not contained in V({b})"
                 )
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "subspaces", canon)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SubspaceRep is immutable")
+        self._fill(poset, field, ambient_dim, canon)
 
     def subspace(self, a: str) -> ExactMatrix:
         self.poset.check_element(a)
@@ -163,13 +157,9 @@ class SubspaceRep:
         return DimensionVector(self.ambient_dim, vals)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceRep)
-            and self.poset == other.poset
-            and self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and all(self.subspaces[a] == other.subspaces[a] for a in self.poset.elements)
-        )
+        return isinstance(other, SubspaceRep) and (
+            self.poset, self.field, self.ambient_dim, self.subspaces) == (
+            other.poset, other.field, other.ambient_dim, other.subspaces)
 
     def __hash__(self):
         return hash((self.poset, self.field, self.ambient_dim,
@@ -186,7 +176,7 @@ class SubspaceRep:
 def rho(u: MatrixRep) -> SubspaceRep:
     """V(a) = column span of the blocks at or below a."""
     subs = {a: column_space_basis(stacked_lower_blocks(u, a)) for a in u.poset.elements}
-    return SubspaceRep(u.poset, u.field, u.d0, subs)
+    return SubspaceRep._of(u.poset, u.field, u.d0, subs)
 
 
 def lift(v: SubspaceRep) -> MatrixRep:
@@ -198,7 +188,7 @@ def lift(v: SubspaceRep) -> MatrixRep:
     """
     blocks = {a: _independent_columns(v.below_sum(a), v.subspace(a))
               for a in v.poset.elements}
-    return MatrixRep(v.poset, v.field, v.ambient_dim, blocks)
+    return MatrixRep._of(v.poset, v.field, v.ambient_dim, blocks)
 
 
 # -- distinguished elements -----------------------------------------------------------
@@ -207,7 +197,8 @@ def lift(v: SubspaceRep) -> MatrixRep:
 def special_T(p: Poset, field: FieldSpec, a: str) -> MatrixRep:
     """Trivial element at a: zero rows, one column in block a."""
     p.check_element(a)
-    return MatrixRep(p, field, 0, {a: ExactMatrix.zeros(field, 0, 1)})
+    column = ExactMatrix.zeros(field, 0, 1)
+    return MatrixRep._of(p, field, 0, _padded_blocks(p, field, 0, {a: column}))
 
 
 def antichain_unit_element(p: Poset, field: FieldSpec, members: Sequence[str]) -> MatrixRep:
@@ -222,8 +213,8 @@ def antichain_unit_element(p: Poset, field: FieldSpec, members: Sequence[str]) -
     for x, y in itertools.combinations(members, 2):
         if p.comparable(x, y):
             raise ValidationError(f"{x!r} and {y!r} are comparable")
-    one = ExactMatrix.from_rows(field, [[1]])
-    return MatrixRep(p, field, 1, {m: one for m in members})
+    one = ExactMatrix.identity(field, 1)
+    return MatrixRep._of(p, field, 1, _padded_blocks(p, field, 1, dict.fromkeys(members, one)))
 
 
 # -- morphisms ------------------------------------------------------------------------
@@ -279,8 +270,8 @@ def _vector_to_morphism(vec, u: MatrixRep, v: MatrixRep, slots, offsets) -> ElMo
 
     def grab(kind, key, r, c):
         off = offsets[(kind, key)]
-        return ExactMatrix(field, r, c,
-                           [vec[off + i * c: off + (i + 1) * c] for i in range(r)])
+        return ExactMatrix._of(field, r, c,
+                               tuple(vec[off + i * c: off + (i + 1) * c] for i in range(r)))
 
     phi0 = grab("0", None, v.d0, u.d0)
     diag = {}
@@ -320,12 +311,9 @@ def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
                     for k, x in enumerate(Vb.data[i]):
                         row[off + k * Ma.cols + j] = -x if q is None else -x % q
                 rows.append(row)
-    if not rows:
-        system = ExactMatrix.zeros(field, 0, total)
-    else:
-        system = ExactMatrix(field, len(rows), total, rows)
+    system = ExactMatrix._of(field, len(rows), total, tuple(map(tuple, rows)))
     return [
-        _vector_to_morphism(list(vec), u, v, slots, offsets)
+        _vector_to_morphism(vec, u, v, slots, offsets)
         for vec in system.nullspace_basis()
     ]
 
@@ -364,15 +352,11 @@ def rep_hom_basis(v: SubspaceRep, w: SubspaceRep) -> list[RepMorphism]:
                         row[i * n:(i + 1) * n] = ([yi * x for x in b] if p is None
                                                   else [yi * x % p for x in b])
                 rows.append(row)
-    system = (ExactMatrix(field, len(rows), n_unknowns, rows)
-              if rows else ExactMatrix.zeros(field, 0, n_unknowns))
-    out = []
-    for vec in system.nullspace_basis():
-        out.append(RepMorphism(ExactMatrix(
-            field, w.ambient_dim, v.ambient_dim,
-            [vec[i * v.ambient_dim:(i + 1) * v.ambient_dim]
-             for i in range(w.ambient_dim)])))
-    return out
+    system = ExactMatrix._of(field, len(rows), n_unknowns, tuple(map(tuple, rows)))
+    return [RepMorphism(ExactMatrix._of(field, w.ambient_dim, n,
+                                        tuple(vec[i * n:(i + 1) * n]
+                                              for i in range(w.ambient_dim))))
+            for vec in system.nullspace_basis()]
 
 
 def rep_end_dimension(v: SubspaceRep) -> int:
@@ -397,7 +381,7 @@ def split_trivial_columns(u: MatrixRep) -> tuple[MatrixRep, dict[str, int]]:
         dropped = u.cols(a) - blocks[a].cols
         if dropped:
             trivials[a] = dropped
-    return MatrixRep(u.poset, u.field, u.d0, blocks), trivials
+    return MatrixRep._of(u.poset, u.field, u.d0, blocks), trivials
 
 
 def _matrix_power_at_least(m: ExactMatrix, n: int) -> ExactMatrix:
@@ -444,13 +428,11 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
             return None
         img = column_space_basis(g)
         ker_vecs = g.nullspace_basis()
-        ker = ExactMatrix(field, n, len(ker_vecs),
-                          [tuple(v[i] for v in ker_vecs) for i in range(n)])
+        ker = ExactMatrix._of(field, n, len(ker_vecs), _columns(ker_vecs, n))
         A = hstack([img, ker])
-        diag = ExactMatrix(field, n, n, [
-            [field.one() if (i == j and i < r) else field.zero() for j in range(n)]
-            for i in range(n)
-        ])
+        diag = ExactMatrix._of(field, n, n, tuple(
+            tuple(field.one() if (i == j and i < r) else field.zero() for j in range(n))
+            for i in range(n)))
         e = A @ diag @ A.inverse()
         if e @ e != e:
             raise InvariantViolated("splitting element is not idempotent")
@@ -505,10 +487,10 @@ def _restrict_rep(v: SubspaceRep, e: ExactMatrix) -> SubspaceRep:
     C = column_space_basis(e)
     subs = {}
     for a in v.poset.elements:
-        image = e @ v.subspaces[a]
-        coords = solve_columns(C, image)
-        subs[a] = coords if coords is not None else ExactMatrix.zeros(v.field, C.cols, 0)
-    return SubspaceRep(v.poset, v.field, C.cols, subs)
+        coords = solve_columns(C, e @ v.subspaces[a])
+        subs[a] = (column_space_basis(coords) if coords is not None
+                   else ExactMatrix.zeros(v.field, C.cols, 0))
+    return SubspaceRep._of(v.poset, v.field, C.cols, subs)
 
 
 def rep_decompose(v: SubspaceRep, budget: int | None = None) -> list[SubspaceRep]:

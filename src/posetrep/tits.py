@@ -18,11 +18,12 @@ import numpy as np
 from .errors import BudgetExceeded, UnknownElement, ValidationError
 from .linalg import resolve_budget
 from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings
+from .value import Value
 
 DEFAULT_SCAN_BUDGET = 10_000_000
 
 
-class DimensionVector:
+class DimensionVector(Value):
     """Map Ŝ → ℤ with the added index 0 stored separately.
 
     Zero entries are dropped on construction, so equality and hashing ignore
@@ -41,11 +42,7 @@ class DimensionVector:
         except TypeError:
             raise ValidationError(
                 f"dimension entries must be integers: {d0!r}, {dict(values)!r}") from None
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, *args):
-        raise AttributeError("DimensionVector is immutable")
+        self._fill(d0, vals)
 
     def get(self, a: str) -> int:
         return self.values.get(a, 0)

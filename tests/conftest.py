@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import posetrep as pr
@@ -104,6 +106,15 @@ def vstack(mats: list[ExactMatrix]) -> ExactMatrix:
     """The matrices stacked top to bottom (the constructor checks the widths)."""
     return ExactMatrix(mats[0].field, sum(m.rows for m in mats), mats[0].cols,
                        [row for m in mats for row in m.data])
+
+
+def check_trusted_matrix(m: ExactMatrix):
+    """m, built through _of, holds tuple rows of canonical entries (Fractions
+    over Q) and equals the checked constructor's matrix on the same data."""
+    assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+    if m.field.p is None:
+        assert all(type(x) is Fraction for row in m.data for x in row)
+    assert m == ExactMatrix(m.field, m.rows, m.cols, m.data)
 
 
 def block_diag(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -277,3 +288,30 @@ def positive_roots(p):
                 seen.add(w)
                 todo.append(w)
     return [dim(v) for v in sorted(seen)]
+
+
+def form_on_box(p: Poset, bound: int):
+    """Every vector of N^(n+1) with entries <= bound, d0 first and then one
+    entry per element of p, as an array of shape (bound + 1,) * (n + 1) + (n + 1,),
+    and the Tits form Q on each, computed here from its definition."""
+    n = len(p)
+    x = np.indices((bound + 1,) * (n + 1), dtype=np.int64)
+    q = (x * x).sum(axis=0) - x[0] * x[1:].sum(axis=0)
+    for a, b in p.relation_pairs():
+        q += x[p.index(a) + 1] * x[p.index(b) + 1]
+    return np.moveaxis(x, 0, -1), q
+
+
+def minimal_vectors(mask: np.ndarray) -> np.ndarray:
+    """The minimal points, in the product order, of a boolean mask on a box:
+    those with no other point of the mask below them."""
+    below = mask.copy()  # some point of the mask is <= this one
+    for axis in range(mask.ndim):
+        below = np.logical_or.accumulate(below, axis=axis)
+    strictly = np.zeros_like(mask)
+    for axis in range(mask.ndim):
+        lower = [slice(None)] * mask.ndim
+        upper = [slice(None)] * mask.ndim
+        lower[axis], upper[axis] = slice(1, None), slice(None, -1)
+        strictly[tuple(lower)] |= below[tuple(upper)]
+    return mask & ~strictly

@@ -1,5 +1,6 @@
 """Exact matrix arithmetic over GF(p) and the rationals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from posetrep.linalg import (
     span_intersection,
     span_sum,
 )
+
+from conftest import check_trusted_matrix
 
 F2, F3, F5 = pr.GF(2), pr.GF(3), pr.GF(5)
 
@@ -60,6 +63,60 @@ def test_shapes_are_still_checked():
     z = ExactMatrix.zeros(pr.QQ, 2, 3)
     assert z == ExactMatrix(pr.QQ, 2, 3, [[Fraction(0)] * 3] * 2)
     assert z.data == ((0, 0, 0), (0, 0, 0)) and ExactMatrix.zeros(F2, 0, 4).cols == 4
+
+
+def test_inexact_entries_are_rejected():
+    """A float would enter Q as a binary fraction and GF(p) truncated, and a
+    bool as 0 or 1: no exact entry is either."""
+    for field, x in ((pr.QQ, 0.1), (F3, 2.5), (F2, 1.0), (F2, True), (pr.QQ, False)):
+        with pytest.raises(pr.ValidationError):
+            field.coerce(x)
+        with pytest.raises(pr.ValidationError):
+            ExactMatrix.from_rows(field, [[x]])
+    assert F3.coerce(Fraction(5, 2)) == 1 and F3.coerce(-4) == 2
+
+
+def test_public_constructor_checks_entries():
+    """Each entry must be canonical for the field: an int in [0, p) over
+    GF(p), an int or a Fraction over Q, where an int is stored as a Fraction."""
+    for field, x in ((F2, 3), (F3, -1), (F2, True), (F2, Fraction(1)), (F2, "1"),
+                     (pr.QQ, 0.5), (pr.QQ, True), (pr.QQ, "1/2")):
+        with pytest.raises(pr.ValidationError):
+            ExactMatrix(field, 1, 1, [[x]])
+    assert ExactMatrix(F2, 1, 1, [[1]]) == ExactMatrix.from_rows(F2, [[3]])
+    m = ExactMatrix(pr.QQ, 1, 2, [[2, Fraction(1, 3)]])
+    assert all(type(x) is Fraction for x in m.data[0])
+    assert m.rref()[0].data == ((1, Fraction(1, 6)),)
+    assert all(type(x) is Fraction for x in m.rref()[0].data[0])
+
+
+def test_trusted_results_equal_checked():
+    """Every operation that builds its result through _of, on random
+    matrices of every small shape, the empty ones included."""
+    rng = random.Random(16)
+    for field in (F2, F3, pr.QQ):
+        def rand(r, c):
+            return ExactMatrix.from_rows(
+                field, [[rng.randrange(-2, 3) for _ in range(c)] for _ in range(r)]
+            ) if r else ExactMatrix.zeros(field, 0, c)
+
+        for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0)] + [
+                (rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)) for _ in range(30)]:
+            a, b, x = rand(r, c), rand(r, c), rand(c, k)
+            results = [a.transpose(), a.take_columns([c - 1, 0] if c else []), a + b, a - b,
+                       -a, a.scale(2), a.scale(Fraction(1, 2)) if field != F2 else a,
+                       a @ x, a.rref()[0], ExactMatrix.identity(field, r),
+                       ExactMatrix.zeros(field, r, c), hstack([a, b, rand(r, k)]),
+                       column_space_basis(a), span_sum(a, b), span_intersection(a, b),
+                       complete_to_full_rank(a)]
+            solved = solve_columns(a, a @ x)
+            assert solved is not None and a @ solved == a @ x
+            results.append(solved)
+            if a.is_invertible():
+                results.append(a.inverse())
+                assert a @ a.inverse() == ExactMatrix.identity(field, r)
+            for m in results:
+                check_trusted_matrix(m)
 
 
 def test_rref_repeated_row():

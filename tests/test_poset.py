@@ -56,6 +56,17 @@ def test_poset_rejects_relations_that_are_not_strict_orders():
     assert pr.tits_value(closed, pr.DimensionVector(1, {"a": 1, "c": 1})) == 2
 
 
+def test_labels_must_be_strings():
+    """No dimension vector can name a label that is not a string, since its
+    keys become strings; build_poset still turns labels into strings."""
+    for elements in ([1, 2], ["a", None], [("a",)]):
+        with pytest.raises(pr.ValidationError):
+            pr.Poset(elements, [])
+    p = pr.build_poset([1, 2], [("1", "2")])
+    assert p.elements == ("1", "2")
+    assert pr.tits_value(p, pr.DimensionVector(1, {1: 1, 2: 1})) == 2
+
+
 def test_order_queries_match_relation_pairs():
     """Every order query equals its definition from the relation set."""
     for p in all_posets_upto(4) + list(critical_posets().values()):

@@ -3,8 +3,8 @@ mode looks them up by string, the README's library example calls them, and
 the README and the cli docstring name the commands that take --budget.
 An API cut that drops one of them must fail here.  Also the source rules
 no test run shows: the Python floor pyproject.toml declares, the one
-lock that every memo table fills under, and a cold() that empties every
-module-level memo table."""
+lock that every memo table fills under, a cold() that empties every
+module-level memo table, and checked constructors only at the boundary."""
 
 import argparse
 import ast
@@ -141,3 +141,44 @@ def test_cold_empties_every_memo_table():
     assert all(sizes().values()), sizes()
     cold()
     assert not any(sizes().values()), sizes()
+
+
+CHECKED = ("ExactMatrix", "MatrixRep", "SubspaceRep", "Poset")
+
+# Every place src/ calls a checked public constructor, with the reason it
+# checks; every other value the package builds goes through _of.
+BOUNDARY = {
+    ("linalg", "ExactMatrix.from_rows", "ExactMatrix"): "rows a caller gives, once coerced",
+    ("jsonio", "rep_from_json", "ExactMatrix"): "blocks read from a file",
+    ("jsonio", "rep_from_json", "MatrixRep"): "an element read from a file",
+    ("derivation", "differentiate", "SubspaceRep"):
+        "solve_columns coordinates are not canonical; not a hot path",
+}
+
+
+def checked_constructions() -> set[tuple[str, str, str]]:
+    """(module, enclosing function, type) of every call of a checked
+    constructor in src/, cls(...) in a classmethod included."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                name = child.func.id
+                if name == "cls" and len(scope) > 1:
+                    name = scope[0]
+                if name in CHECKED:
+                    found.add((path.stem, ".".join(scope), name))
+            visit(child, path, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    return found
+
+
+def test_checked_constructors_only_at_the_boundary():
+    """A check that creeps back onto a hot path must be named here first."""
+    assert checked_constructions() == set(BOUNDARY)
