@@ -28,7 +28,6 @@ package's one lock, and the stabilizer tables grow under the same lock.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -62,7 +61,6 @@ from .reps import (
     _padded_blocks,
 )
 from .tits import (
-    DEFAULT_SCAN_BUDGET,
     DimensionVector,
     is_finite_type,
     dominated_critical,
@@ -684,17 +682,16 @@ def verify_main_theorem(poset: Poset, max_total: int,
     The scan criterion, Q > 0 on every nonzero d' ≤ d, is decided by
     induction over the sweep: the dimensions form a down-set visited by
     total, so it holds at d iff d = 0, or Q(d) > 0 and it holds at every
-    d − e_i with d_i > 0.  Like finite_type_scan, the comparison is skipped
-    with a note when the subvector grid of d exceeds the scan budget.  One
-    cached census core per field serves the class and indecomposable
-    counts; only the first field's indecomposable of a root is lifted, for
-    the endomorphism and construction checks.  A negative max_total or an
-    empty field list raises ValidationError.
+    d − e_i with d_i > 0; it is compared with dominance at every d, and
+    budget bounds only the censuses.  One cached census core per field
+    serves the class and indecomposable counts; only the first field's
+    indecomposable of a root is lifted, for the endomorphism and
+    construction checks.  A negative max_total or an empty field list
+    raises ValidationError.
     """
     fields = list(fields)
     if max_total < 0 or not fields:
         raise ValidationError("verification needs max_total >= 0 and at least one field")
-    scan_budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
     positive: dict[tuple[int, ...], bool] = {}
     reports = []
     failures: list[str] = []
@@ -709,9 +706,7 @@ def verify_main_theorem(poset: Poset, max_total: int,
         scan = d.is_zero() or q > 0 and all(
             positive[vec[:i] + (v - 1,) + vec[i + 1:]] for i, v in enumerate(vec) if v)
         positive[vec] = scan
-        if math.prod(v + 1 for v in vec) > scan_budget:
-            notes.append("scan skipped: budget")
-        elif scan != ft:
+        if scan != ft:
             ok = False
             failures.append(f"{d}: scan criterion {scan} vs dominance {not witness}")
         cores: list[tuple[_CensusCore, tuple[str, ...]] | None] = []
@@ -737,7 +732,7 @@ def verify_main_theorem(poset: Poset, max_total: int,
             if len(set(counts.values())) > 1:
                 ok = False
                 failures.append(f"{d}: class counts differ across fields: {counts}")
-            if expected == 1 and fields:
+            if expected == 1:
                 f = fields[0]
                 if d.d0 == 0:
                     (a, _), = d.values.items()

@@ -142,6 +142,12 @@ def GF(p: int) -> FieldSpec:
 QQ = FieldSpec("rationals")
 
 
+def check_counts(field: FieldSpec, *counts: int) -> None:
+    """The public constructors' shape check: a FieldSpec, non-negative ints."""
+    if not isinstance(field, FieldSpec) or any(type(n) is not int or n < 0 for n in counts):
+        raise ValidationError(f"need a FieldSpec and int counts >= 0, got {field!r}, {counts}")
+
+
 def _columns(rows: Sequence[Sequence], n: int) -> tuple[tuple, ...]:
     """The n columns of rows, each a tuple; n empty ones when rows is empty."""
     return tuple(zip(*rows)) if rows else ((),) * n
@@ -159,8 +165,7 @@ class ExactMatrix(Value):
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, data):
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix dimensions must be non-negative")
+        check_counts(field, rows, cols)
         data = tuple(tuple(row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValidationError(
@@ -380,16 +385,17 @@ def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     return ExactMatrix._of(field, a.cols, b.cols, tuple(sol))
 
 
-def _independent_columns(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
-    """The columns of right outside the span of left and of the right columns
-    before them: right's pivot columns in rref([left | right])."""
+def _independent_columns(left: ExactMatrix, right: ExactMatrix) -> list[int]:
+    """The indices of the columns of right outside the span of left and of
+    the right columns before them: right's pivot columns in rref([left | right])."""
     rows = [x + y for x, y in zip(left.data, right.data)]
     _, pivots = rref(rows, left.cols + right.cols, right.field.p)
-    return right.take_columns(c - left.cols for c in pivots if c >= left.cols)
+    return [c - left.cols for c in pivots if c >= left.cols]
 
 
 def complete_to_full_rank(m: ExactMatrix) -> ExactMatrix:
     """Greedy standard-basis completion: C with rank [m | C] = rows(m) and
     rows(m) - rank(m) independent columns, each standard basis vector outside
     the span of m and of the vectors before it, in index order."""
-    return _independent_columns(m, ExactMatrix.identity(m.field, m.rows))
+    ident = ExactMatrix.identity(m.field, m.rows)
+    return ident.take_columns(_independent_columns(m, ident))

@@ -9,6 +9,11 @@ The public MatrixRep and SubspaceRep constructors check their blocks and
 subspaces; SubspaceRep canonicalizes them.  Every element and representation
 built here goes through _of: its blocks are valid, its subspaces canonical
 and order preserving by construction.
+
+Decomposition splits off trivial columns, then splits the representation by
+idempotents of its endomorphism algebra, found by a seeded search, and keeps
+each summand's inclusion.  Isomorphism pairs the summands of two
+decompositions and lifts the assembled ambient map to a certificate exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .linalg import (
     ExactMatrix,
     FieldSpec,
     column_space_basis,
+    check_counts,
     hstack,
     resolve_budget,
     solve_columns,
@@ -53,11 +59,12 @@ class MatrixRep(Value):
 
     def __init__(self, poset: Poset, field: FieldSpec, d0: int,
                  blocks: Mapping[str, ExactMatrix] | None = None):
-        if d0 < 0:
-            raise ValidationError("row count must be non-negative")
+        check_counts(field, d0)
         blocks = blocks or {}
         full = _padded_blocks(poset, field, d0, blocks)
         for a, m in full.items():
+            if not isinstance(m, ExactMatrix):
+                raise ValidationError(f"block {a!r} is not an ExactMatrix")
             if m.field != field:
                 raise FieldMismatch(f"block {a!r} is over {m.field.label()}")
             if m.rows != d0:
@@ -121,13 +128,14 @@ class SubspaceRep(Value):
 
     def __init__(self, poset: Poset, field: FieldSpec, ambient_dim: int,
                  subspaces: Mapping[str, ExactMatrix]):
+        check_counts(field, ambient_dim)
         unknown = [a for a in subspaces if a not in poset]
         if unknown:
             raise UnknownElement(f"subspaces given for unknown elements {sorted(unknown)}")
         canon, empty = {}, ExactMatrix.zeros(field, ambient_dim, 0)
         for a in poset.elements:
             m = subspaces.get(a, empty)
-            if m.rows != ambient_dim or m.field != field:
+            if not isinstance(m, ExactMatrix) or m.rows != ambient_dim or m.field != field:
                 raise ValidationError(f"subspace basis at {a!r} has the wrong shape/field")
             canon[a] = column_space_basis(m)
         for a, b in poset.relation_pairs():
@@ -186,7 +194,8 @@ def lift(v: SubspaceRep) -> MatrixRep:
     Σ_{b≺a} V(b), greedily in index order: the pivot columns of V(a) in
     rref([Σ_{b≺a} V(b) | V(a)]).
     """
-    blocks = {a: _independent_columns(v.below_sum(a), v.subspace(a))
+    subs = v.subspaces
+    blocks = {a: subs[a].take_columns(_independent_columns(v.below_sum(a), subs[a]))
               for a in v.poset.elements}
     return MatrixRep._of(v.poset, v.field, v.ambient_dim, blocks)
 
@@ -233,13 +242,6 @@ class ElMorphism:
             return False
         return all(m.is_invertible() for m in self.phi_diag.values())
 
-    def scale(self, c) -> "ElMorphism":
-        return ElMorphism(
-            self.phi0.scale(c),
-            {a: m.scale(c) for a, m in self.phi_diag.items()},
-            {k: m.scale(c) for k, m in self.phi_tri.items()},
-        )
-
     def __add__(self, other: "ElMorphism") -> "ElMorphism":
         return ElMorphism(
             self.phi0 + other.phi0,
@@ -273,15 +275,10 @@ def _vector_to_morphism(vec, u: MatrixRep, v: MatrixRep, slots, offsets) -> ElMo
         return ExactMatrix._of(field, r, c,
                                tuple(vec[off + i * c: off + (i + 1) * c] for i in range(r)))
 
-    phi0 = grab("0", None, v.d0, u.d0)
-    diag = {}
-    tri = {}
+    parts = {"0": {}, "diag": {}, "tri": {}}
     for kind, key, r, c in slots:
-        if kind == "diag":
-            diag[key] = grab(kind, key, r, c)
-        elif kind == "tri":
-            tri[key] = grab(kind, key, r, c)
-    return ElMorphism(phi0, diag, tri)
+        parts[kind][key] = grab(kind, key, r, c)
+    return ElMorphism(parts["0"][None], parts["diag"], parts["tri"])
 
 
 def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
@@ -376,26 +373,21 @@ def split_trivial_columns(u: MatrixRep) -> tuple[MatrixRep, dict[str, int]]:
     blocks = {}
     trivials: dict[str, int] = {}
     for a in u.poset.elements:
-        blocks[a] = _independent_columns(stacked_lower_blocks(u, a, strict=True),
-                                         u.blocks[a])
+        blocks[a] = u.blocks[a].take_columns(_kept_columns(u, a))
         dropped = u.cols(a) - blocks[a].cols
         if dropped:
             trivials[a] = dropped
     return MatrixRep._of(u.poset, u.field, u.d0, blocks), trivials
 
 
-def _matrix_power_at_least(m: ExactMatrix, n: int) -> ExactMatrix:
-    out = m
-    e = 1
-    while e < n:
-        out = out @ out
-        e *= 2
-    return out
+def _kept_columns(u: MatrixRep, a: str) -> list[int]:
+    """Indices of the pivot columns of M(a) in rref([blocks strictly below a | M(a)])."""
+    return _independent_columns(stacked_lower_blocks(u, a, strict=True), u.blocks[a])
 
 
-def _combination(basis: list, coeffs):
-    """Σ c·b over the nonzero coefficients, or None when all are zero; for
-    ExactMatrix and ElMorphism alike."""
+def _combination(basis: list[ExactMatrix], coeffs) -> ExactMatrix | None:
+    """Σ c·b over the nonzero coefficients, or None when all are zero: one
+    candidate of the idempotent search."""
     cand = None
     for c, b in zip(coeffs, basis):
         if c:
@@ -417,12 +409,14 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
         return None
     ident = ExactMatrix.identity(field, n)
 
-    def inspect(f: ExactMatrix) -> ExactMatrix | None:
-        if f.is_zero() or f == ident:
+    def inspect(f: ExactMatrix | None) -> ExactMatrix | None:
+        if f is None or f.is_zero() or f == ident:
             return None
         if f @ f == f:
             return f
-        g = _matrix_power_at_least(f, n)
+        g = f
+        for _ in range((n - 1).bit_length()):  # g = f^(2^k) with 2^k >= n: Fitting
+            g = g @ g
         r = g.rank()
         if r == 0 or r == n:
             return None
@@ -438,72 +432,61 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
             raise InvariantViolated("splitting element is not idempotent")
         return e
 
-    for f in basis:
+    def drawn():  # seeded once the scans before it have failed
+        rng = random.Random(0xC0FFEE)
+        low, high = (0, field.p) if field.is_prime_field else (-3, 4)
+        for _ in range(64):
+            yield _combination(basis, [rng.randrange(low, high) for _ in basis])
+
+    candidates = itertools.chain(
+        basis,
+        (f + g for f, g in itertools.combinations(basis, 2)),
+        (f @ g for f, g in itertools.permutations(basis, 2)),
+        drawn())
+    for f in candidates:
         e = inspect(f)
         if e is not None:
             return e
-    for f, g in itertools.combinations(basis, 2):
-        e = inspect(f + g)
-        if e is not None:
-            return e
-    for f, g in itertools.permutations(basis, 2):
-        e = inspect(f @ g)
-        if e is not None:
-            return e
-    rng = random.Random(0xC0FFEE)
-    if field.is_prime_field:
-        for _ in range(64):
-            cand = _combination(basis, [rng.randrange(field.p) for _ in basis])
-            if cand is not None:
-                e = inspect(cand)
-                if e is not None:
-                    return e
-        if field.p ** len(basis) <= budget:
-            for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-                cand = _combination(basis, coeffs)
-                if cand is None or cand == ident:
-                    continue
-                if cand @ cand == cand:
-                    return cand
-            return None
+    if not field.is_prime_field:  # over Q the heuristics above are all we attempt
+        raise UndecidableAtBudget("cannot certify indecomposability over the rationals "
+                                  "at this size")
+    if field.p ** len(basis) > budget:
         raise UndecidableAtBudget(
             f"endomorphism algebra of dimension {len(basis)} over {field.label()} "
-            f"exceeds the idempotent search budget {budget}"
-        )
-    # rationals: the heuristics above are all we attempt
-    for _ in range(64):
-        cand = _combination(basis, [rng.randrange(-3, 4) for _ in basis])
-        if cand is not None:
-            e = inspect(cand)
-            if e is not None:
-                return e
-    raise UndecidableAtBudget(
-        "cannot certify indecomposability over the rationals at this size"
-    )
+            f"exceeds the idempotent search budget {budget}")
+    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
+        cand = _combination(basis, coeffs)
+        if cand is not None and cand != ident and cand @ cand == cand:
+            return cand
+    return None
 
 
-def _restrict_rep(v: SubspaceRep, e: ExactMatrix) -> SubspaceRep:
-    """Restriction of v to the image of the idempotent e, recoordinatized."""
+def _restrict_rep(v: SubspaceRep, e: ExactMatrix) -> tuple[SubspaceRep, ExactMatrix]:
+    """Restriction of v to the image of the idempotent e, in the coordinates
+    of the canonical basis C of that image; and C."""
     C = column_space_basis(e)
-    subs = {}
-    for a in v.poset.elements:
-        coords = solve_columns(C, e @ v.subspaces[a])
-        subs[a] = (column_space_basis(coords) if coords is not None
-                   else ExactMatrix.zeros(v.field, C.cols, 0))
-    return SubspaceRep._of(v.poset, v.field, C.cols, subs)
+    subs = {a: column_space_basis(solve_columns(C, e @ v.subspaces[a]))
+            for a in v.poset.elements}
+    return SubspaceRep._of(v.poset, v.field, C.cols, subs), C
 
 
-def rep_decompose(v: SubspaceRep, budget: int | None = None) -> list[SubspaceRep]:
-    """Indecomposable summands of a subspace representation."""
+def _split(v: SubspaceRep, budget: int | None) -> list[tuple[SubspaceRep, ExactMatrix]]:
+    """Indecomposable summands of v, each with its inclusion into v's ambient
+    space; the inclusions side by side form an invertible matrix."""
     if v.ambient_dim == 0:
         return []
     basis = [m.f for m in rep_hom_basis(v, v)]
     e = _find_splitting_idempotent(basis, v.ambient_dim, v.field, budget)
+    ident = ExactMatrix.identity(v.field, v.ambient_dim)
     if e is None:
-        return [v]
-    comp = ExactMatrix.identity(v.field, v.ambient_dim) - e
-    return rep_decompose(_restrict_rep(v, e), budget) + rep_decompose(
-        _restrict_rep(v, comp), budget)
+        return [(v, ident)]
+    parts = [_restrict_rep(v, part) for part in (e, ident - e)]
+    return [(x, C @ inner) for w, C in parts for x, inner in _split(w, budget)]
+
+
+def rep_decompose(v: SubspaceRep, budget: int | None = None) -> list[SubspaceRep]:
+    """Indecomposable summands of a subspace representation."""
+    return [w for w, _ in _split(v, budget)]
 
 
 @dataclass(frozen=True)
@@ -557,7 +540,14 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
     """An invertible morphism u -> v, or None.
 
     Invertibility of a morphism means all diagonal components (including the
-    ambient one) are invertible; the triangular parts never obstruct.
+    ambient one) are invertible; the triangular parts never obstruct.  Past
+    two cheap exits (u == v, an invertible hom basis element) the decision
+    is exact.  The trivial columns must agree, and each summand of rho(u) is
+    paired with an unused summand of rho(v) of its dimension vector by the
+    first invertible element of their hom basis; between isomorphic
+    indecomposables the non-isomorphisms form a proper subspace.  The pairs
+    assemble one ambient isomorphism, lifted by _lift_isomorphism.  budget
+    bounds only the idempotent search of the two decompositions.
     """
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if u.poset != v.poset or u.field != v.field:
@@ -566,45 +556,54 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
         return None
     if u == v:
         return _identity_morphism(u)
-    hom = el_hom_basis(u, v)
-    for h in hom:
+    for h in el_hom_basis(u, v):
         if h.is_invertible():
             return h
-    # basis scan suffices for indecomposables; otherwise match summands
-    du = decompose(u, budget)
-    dv = decompose(v, budget)
-    if dict(du.trivials) != dict(dv.trivials):
+    reduced_u, trivials = split_trivial_columns(u)
+    reduced_v, trivials_v = split_trivial_columns(v)
+    if trivials != trivials_v:
         return None
-    if len(du.pieces) != len(dv.pieces):
-        return None
-    if len(du.pieces) <= 1 and not du.trivials:
-        return None  # both indecomposable; the basis scan was conclusive
-    remaining = list(dv.pieces)
-    for piece in du.pieces:
-        match = next(
-            (i for i, q in enumerate(remaining)
-             if are_isomorphic(piece, q, budget) is not None),
-            None,
-        )
+    remaining = _split(rho(reduced_v), budget)
+    sources, targets = [], []
+    for w, inclusion in _split(rho(reduced_u), budget):
+        dim = w.dimension_vector()
+        match = next(((i, g.f) for i, (x, _) in enumerate(remaining)
+                      if x.dimension_vector() == dim
+                      for g in rep_hom_basis(w, x) if g.f.is_invertible()), None)
         if match is None:
             return None
-        remaining.pop(match)
-    # summands match, so an isomorphism exists; hunt for a certificate
-    rng = random.Random(0xBEEF)
-    if u.field.is_prime_field:
-        for _ in range(4096):
-            cand = _combination(hom, [rng.randrange(u.field.p) for _ in hom])
-            if cand is not None and cand.is_invertible():
-                return cand
-        if u.field.p ** len(hom) <= 1 << 14:
-            for coeffs in itertools.product(range(u.field.p), repeat=len(hom)):
-                cand = _combination(hom, coeffs)
-                if cand is not None and cand.is_invertible():
-                    return cand
-            return None  # exhaustive: genuinely no invertible morphism
-        raise UndecidableAtBudget("summands match but no certificate was found")
-    for _ in range(4096):
-        cand = _combination(hom, [rng.randrange(-3, 4) for _ in hom])
-        if cand is not None and cand.is_invertible():
-            return cand
-    raise UndecidableAtBudget("summands match but no certificate was found")
+        i, g = match
+        sources.append(inclusion)
+        targets.append(remaining.pop(i)[1] @ g)
+    return _lift_isomorphism(u, v, hstack(targets) @ hstack(sources).inverse())
+
+
+def _lift_isomorphism(u: MatrixRep, v: MatrixRep, f: ExactMatrix) -> ElMorphism:
+    """The isomorphism u -> v with Φ(0) = f, an isomorphism of rho(u) onto
+    rho(v), when u and v split off the same trivial columns.
+
+    At each a the 0/1 matrix S sends u's trivial columns onto v's in order,
+    and [lower'(a) | M'(a)]·X = f·M(a) − M'(a)·S is solved: the rows of X at
+    v's trivial columns are 0, so Φ(a) = S + (the M'(a) rows of X) is block
+    triangular with an invertible diagonal.  The lower'(a) rows give Φ(b, a).
+    """
+    p, field = u.poset, u.field
+    diag, tri = {}, {}
+    for a in p.elements:
+        m, m_v, lower = u.blocks[a], v.blocks[a], stacked_lower_blocks(v, a, strict=True)
+        kept, kept_v = _kept_columns(u, a), _independent_columns(lower, m_v)
+        trivial = iter(j for j in range(m.cols) if j not in kept)
+        match = {i: next(trivial) for i in range(m_v.cols) if i not in kept_v}
+        S = ExactMatrix._of(field, m_v.cols, m.cols, tuple(
+            tuple(field.one() if match.get(i) == j else field.zero() for j in range(m.cols))
+            for i in range(m_v.cols)))
+        X = solve_columns(hstack([lower, m_v]), f @ m - m_v @ S)
+        if X is None:
+            raise InvariantViolated("f does not carry rho(u) onto rho(v)")
+        diag[a] = S + ExactMatrix._of(field, m_v.cols, m.cols, X.data[lower.cols:])
+        row = 0
+        for b in p.sorted_subset(strict_lower_cone(p, a)):
+            n = v.cols(b)
+            tri[(b, a)] = ExactMatrix._of(field, n, m.cols, X.data[row:row + n])
+            row += n
+    return ElMorphism(f, diag, tri)

@@ -30,9 +30,10 @@ def record(monkeypatch, cls) -> list:
 
 
 def test_trusted_values_equal_checked(monkeypatch, a3, a4):
-    """Construction, a census with its lifted indecomposables and a
-    decomposition run every producer that trusts its data; each value it
-    made is one the checked constructor makes of the same data."""
+    """Construction, a census with its lifted indecomposables, a
+    decomposition and an isomorphism past the hom basis scan run every
+    producer that trusts its data; each value it made is one the checked
+    constructor makes of the same data."""
     made = {cls: record(monkeypatch, cls)
             for cls in (ExactMatrix, MatrixRep, SubspaceRep, Poset)}
     cold()
@@ -51,6 +52,9 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     assert len(pr.decompose(twice).pieces) == 3
     assert len(pr.decompose(direct_sum(built[-1], built[-1])).pieces) == 2
     assert pr.end_dimension(three) == 1
+    ex = pr.antichain_unit_element(a3, F3, ["x"])
+    sheared = MatrixRep(a3, F3, 2, {"x": ExactMatrix.from_rows(F3, [[1, 1], [0, 1]])})
+    assert pr.are_isomorphic(direct_sum(ex, ex), sheared).is_invertible()
     assert pr.differentiate(pr.rho(three), "x").ambient_dim == 1
     twice_e = ExactMatrix.from_rows(F3, [[2, 0], [0, 0]])  # not idempotent: a Fitting split
     assert _find_splitting_idempotent([twice_e, ExactMatrix.identity(F3, 2)], 2, F3) == \
@@ -67,7 +71,8 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     assert callers[ExactMatrix] >= {
         "transpose", "take_columns", "_reduced", "__matmul__", "rref", "identity", "zeros",
         "hstack", "column_space_basis", "span_intersection", "solve_columns", "grab",
-        "el_hom_basis", "rep_hom_basis", "inspect", "to_matrix", "assemble"}
+        "el_hom_basis", "rep_hom_basis", "inspect", "to_matrix", "assemble",
+        "_lift_isomorphism"}
     for _, m in made[ExactMatrix]:
         check_trusted_matrix(m)
     for _, u in made[MatrixRep]:
@@ -87,14 +92,25 @@ def test_public_constructors_still_check(a3):
     e1, e2 = ExactMatrix.from_rows(F2, [[1], [0]]), ExactMatrix.from_rows(F2, [[0], [1]])
     malformed = [
         (pr.ValidationError, lambda: ExactMatrix(F2, -1, 0, [])),
+        (pr.ValidationError, lambda: ExactMatrix(F2, 1.0, 0, [()])),
+        (pr.ValidationError, lambda: ExactMatrix(F2, 1, "1", [[1]])),
+        (pr.ValidationError, lambda: ExactMatrix("GF(2)", 1, 1, [[1]])),
         (pr.ValidationError, lambda: ExactMatrix(F2, 1, 2, [[1]])),
         (pr.ValidationError, lambda: ExactMatrix(F2, 1, 1, [[2]])),
         (pr.ValidationError, lambda: MatrixRep(a3, F2, -1, {})),
+        (pr.ValidationError, lambda: MatrixRep(a3, F2, 1.5, {})),
+        (pr.ValidationError, lambda: MatrixRep(a3, F2, "2", {})),
+        (pr.ValidationError, lambda: MatrixRep(a3, F2, 1, {"x": [[1]]})),
+        (pr.ValidationError, lambda: MatrixRep(a3, 2, 1, {})),
         (pr.ValidationError, lambda: MatrixRep(a3, F2, 2, {"x": ExactMatrix.zeros(F2, 3, 1)})),
         (pr.FieldMismatch, lambda: MatrixRep(a3, F2, 2, {"x": ExactMatrix.zeros(F3, 2, 1)})),
         (pr.UnknownElement, lambda: MatrixRep(a3, F2, 2, {"w": ExactMatrix.zeros(F2, 2, 1)})),
         (pr.UnknownElement, lambda: SubspaceRep(a3, F2, 2, {"w": e1})),
         (pr.ValidationError, lambda: SubspaceRep(a3, F2, 3, {"x": e1})),
+        (pr.ValidationError, lambda: SubspaceRep(a3, F2, 1.5, {})),
+        (pr.ValidationError, lambda: SubspaceRep(a3, F2, "2", {})),
+        (pr.ValidationError, lambda: SubspaceRep(a3, F2, 2, {"x": [[1], [0]]})),
+        (pr.ValidationError, lambda: SubspaceRep(a3, "GF(2)", 2, {})),
         (pr.ValidationError, lambda: SubspaceRep(a3, F3, 2, {"x": e1})),
         (pr.ValidationError, lambda: SubspaceRep(chain, F2, 2, {"a": e1, "b": e2})),
         (pr.DuplicateLabel, lambda: Poset(["a", "a"], [])),

@@ -309,20 +309,12 @@ def test_verify_criterion_disagreement_fails_the_report(a3, a4, monkeypatch):
     assert not any(r.ok for r in reports)
 
 
-def test_verify_scan_budget_skips_only_large_grids(a3):
-    """Under a small budget the sweep still returns; only grids over it skip the scan."""
-    budget = 20
-    reports, failures = pr.verify_main_theorem(a3, 5, [F2, F3], budget=budget)
+def test_verify_budget_bounds_only_the_censuses(a3):
+    """The scan criterion is compared at every dimension, whatever the
+    budget; under a small budget only the censuses are skipped."""
+    reports, failures = pr.verify_main_theorem(a3, 5, [F2, F3], budget=20)
     assert failures == []
-    skipped = {r.dimension.key() for r in reports if "scan skipped: budget" in r.notes}
-    over = set()
-    for r in reports:
-        grid = r.dimension.d0 + 1
-        for a in a3.elements:
-            grid *= r.dimension.get(a) + 1
-        if grid > budget:
-            over.add(r.dimension.key())
-    assert over and skipped == over
+    assert not any("scan" in note for r in reports for note in r.notes)
     # the root (2; 1, 1, 1) has 27 configurations over GF(2): its census and
     # hence its endomorphism check are skipped, not raised
     three = next(r for r in reports if r.dimension == D(2, x=1, y=1, z=1))

@@ -14,6 +14,7 @@ from posetrep.reps import (
 
 from conftest import (
     all_dimensions,
+    block_diag,
     compose,
     direct_sum,
     el_morphism_satisfies,
@@ -288,6 +289,102 @@ def test_are_isomorphic_over_rationals(a3):
     })
     phi = pr.are_isomorphic(u, twin)
     assert phi is not None and phi.is_invertible()
+
+
+def conjugate(u, g, h):
+    """g·M(a)·h(a) at each a: an element isomorphic to u (h(a) defaults to 1)."""
+    return pr.MatrixRep(u.poset, u.field, u.d0, {
+        a: g @ u.blocks[a] @ h.get(a, ExactMatrix.identity(u.field, u.cols(a)))
+        for a in u.poset.elements})
+
+
+def rebuilt(u):
+    """The direct sum of u's decomposition, trivial summands last."""
+    d = pr.decompose(u)
+    out = pr.MatrixRep(u.poset, u.field, 0, {})
+    for piece in d.pieces:
+        out = direct_sum(out, piece)
+    for a, count in d.trivials.items():
+        for _ in range(count):
+            out = direct_sum(out, pr.special_T(u.poset, u.field, a))
+    return out
+
+
+def from_columns(field, d0, columns):
+    return ExactMatrix.from_rows(field, [list(r) for r in zip(*columns)]) if columns \
+        else ExactMatrix.zeros(field, d0, 0)
+
+
+def plane_lines(a4, field, slope):
+    """Four lines in the plane on the 4-antichain: e0, e1, e0 + e1 and
+    e0 + slope·e1; the slope is a cross-ratio, so distinct slopes give
+    non-isomorphic indecomposables with one dimension vector."""
+    cols = {"w": [[1, 0]], "x": [[0, 1]], "y": [[1, 1]], "z": [[1, slope]]}
+    return pr.MatrixRep(a4, field, 2, {a: from_columns(field, 2, c) for a, c in cols.items()})
+
+
+@pytest.mark.parametrize("field", [F2, F3, pr.QQ], ids=lambda f: f.label())
+def test_are_isomorphic_certificates_past_the_basis_scan(a3, a4, field):
+    """Pairs whose hom basis holds no invertible element, so the decision and
+    the certificate come from matched summands.  Every certificate satisfies
+    the block equations and is invertible; equal dimension vectors without
+    matching summands give None."""
+    def e(*members):
+        return pr.antichain_unit_element(a3, field, members)
+
+    t = pr.special_T(a3, field, "x")
+    g2 = ExactMatrix.from_rows(field, [[1, 1], [0, 1]])
+    g3 = ExactMatrix.from_rows(field, [[0, 1, 1], [1, 0, 1], [0, 0, 1]])
+    swap = ExactMatrix.from_rows(field, [[0, 1], [1, 0]])
+    cycle = ExactMatrix.from_rows(field, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    xx = direct_sum(e("x"), e("x"))
+    # a trivial column between independent ones: x holds e0, 0, e1
+    gap = pr.MatrixRep(a3, field, 2, {"x": from_columns(field, 2, [[1, 0], [0, 0], [0, 1]])})
+    mixed = direct_sum(direct_sum(e("x", "y"), e("z")), direct_sum(t, e("y")))
+    lines_y = direct_sum(three_lines(a3, field), e("y"))
+    isomorphic = [
+        (xx, conjugate(xx, g2, {})),
+        (xx, conjugate(xx, g2, {"x": swap})),
+        (gap, conjugate(gap, g2, {"x": cycle})),
+        (direct_sum(xx, t), conjugate(direct_sum(t, xx), g2, {"x": cycle})),
+        (mixed, rebuilt(mixed)),
+        (mixed, conjugate(mixed, g3, {"y": swap})),
+        (lines_y, conjugate(rebuilt(lines_y), g3, {})),
+    ]
+    if field.p != 2:  # over GF(2) a plane has only three lines
+        twice = direct_sum(plane_lines(a4, field, 2), plane_lines(a4, field, 2))
+        isomorphic.append((twice, conjugate(rebuilt(twice), block_diag(g2, g2), {})))
+    graph, ex = nilpotent_graph(a4, field), pr.antichain_unit_element(a4, field, ["x"])
+    if field.p:  # summands with a local End of dimension 2; over Q its search gives up
+        isomorphic += [(direct_sum(graph, ex), direct_sum(ex, graph)),
+                       (direct_sum(graph, graph), rebuilt(direct_sum(graph, graph)))]
+    for u, v in isomorphic:
+        assert pr.dimension_of(u) == pr.dimension_of(v)
+        assert not any(h.is_invertible() for h in pr.el_hom_basis(u, v))
+        for a, b in ((u, v), (v, u)):
+            phi = pr.are_isomorphic(a, b)
+            assert phi is not None and phi.is_invertible()
+            assert el_morphism_satisfies(phi, a, b)
+    zero_rows = direct_sum(t, pr.special_T(a3, field, "y"))
+    phi = pr.are_isomorphic(zero_rows, zero_rows)
+    assert phi.is_invertible() and el_morphism_satisfies(phi, zero_rows, zero_rows)
+    # equal dimension vectors, summands that do not match
+    apart = pr.MatrixRep(a3, field, 2, {"x": from_columns(field, 2, [[1, 0]]),
+                                        "y": from_columns(field, 2, [[0, 1]])})
+    together = pr.MatrixRep(a3, field, 2, {"x": from_columns(field, 2, [[1, 0]]),
+                                           "y": from_columns(field, 2, [[1, 0]])})
+    # z on w's line against z on y's; over Q two cross-ratios
+    u, w = (plane_lines(a4, field, c) for c in ((2, 3) if field.p is None else (0, 1)))
+    # the trivial columns differ, so no idempotent search runs (over Q it
+    # could not decide the graph): w holds three independent columns
+    planes = ExactMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    graph_w = pr.MatrixRep(a4, field, 4, {**graph.blocks, "w": planes})
+    different = [(apart, together), (direct_sum(gap, e()), direct_sum(xx, e("x"))),
+                 (u, w), (direct_sum(u, ex), direct_sum(ex, w)),
+                 (direct_sum(graph, pr.special_T(a4, field, "w")), graph_w)]
+    for u, v in different:
+        assert pr.dimension_of(u) == pr.dimension_of(v)
+        assert pr.are_isomorphic(u, v) is None and pr.are_isomorphic(v, u) is None
 
 
 def test_el_hom_field_mismatch(a3):

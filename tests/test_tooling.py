@@ -4,7 +4,8 @@ the README and the cli docstring name the commands that take --budget.
 An API cut that drops one of them must fail here.  Also the source rules
 no test run shows: the Python floor pyproject.toml declares, the one
 lock that every memo table fills under, a cold() that empties every
-module-level memo table, and checked constructors only at the boundary."""
+module-level memo table, checked constructors only at the boundary, and
+one seeded search."""
 
 import argparse
 import ast
@@ -156,29 +157,44 @@ BOUNDARY = {
 }
 
 
+def scoped_calls():
+    """(module, enclosing classes and functions, call) for every call in src/."""
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                yield module, scope, child
+            yield from visit(child, module, scope)
+
+    for path in SOURCES:
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+
+
 def checked_constructions() -> set[tuple[str, str, str]]:
     """(module, enclosing function, type) of every call of a checked
     constructor in src/, cls(...) in a classmethod included."""
     found = set()
-
-    def visit(node, path, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, path, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
-                name = child.func.id
-                if name == "cls" and len(scope) > 1:
-                    name = scope[0]
-                if name in CHECKED:
-                    found.add((path.stem, ".".join(scope), name))
-            visit(child, path, scope)
-
-    for path in SOURCES:
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    for module, scope, call in scoped_calls():
+        if isinstance(call.func, ast.Name):
+            name = call.func.id
+            if name == "cls" and len(scope) > 1:
+                name = scope[0]
+            if name in CHECKED:
+                found.add((module, ".".join(scope), name))
     return found
 
 
 def test_checked_constructors_only_at_the_boundary():
     """A check that creeps back onto a hot path must be named here first."""
     assert checked_constructions() == set(BOUNDARY)
+
+
+def test_one_seeded_search():
+    """random.Random is constructed once in src/, for the draws of the
+    idempotent search; no seeded search comes back into the isomorphism
+    decision, which is exact."""
+    seeded = [(module, ".".join(scope[:1])) for module, scope, call in scoped_calls()
+              if ast.unparse(call.func).rsplit(".", 1)[-1] == "Random"]
+    assert seeded == [("reps", "_find_splitting_idempotent")]
