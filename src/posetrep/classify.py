@@ -1,9 +1,10 @@
 """Classification and construction procedures, plus brute-force oracles.
 
 Isomorphism classes of representations with an exact dimension vector are
-counted on the fibre over the first element: the first element is fixed to
-one subspace S, the rest are enumerated, and the orbits of the stabilizer of
-S are taken on arrays, one per GL(d0)-orbit.  Each generator permutes the
+counted on the fibre over the first element: the first element, of
+dimension k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}),
+the rest are enumerated, and the orbits of the block triangular stabilizer
+of S_k are taken on arrays, one per GL(d0)-orbit.  Each generator permutes the
 interned subspace ids through a lazily grown table, all configurations are
 moved at once, image rows are found by searching their bytes among the
 configurations' sorted bytes, and the orbits are the connected components
@@ -71,17 +72,7 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 
 
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValidationError(f"no primitive root modulo {p}")
+    return next(g for g in range(1, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
 
 
 class SubspaceSpace:
@@ -90,9 +81,9 @@ class SubspaceSpace:
     Vectors are encoded as base-p integers; a subspace is the canonical
     tuple of its reduced-echelon basis rows, which linalg.rref, the one
     elimination kernel, returns for any spanning set.  The stabilizer in
-    GL_n(F_p) of each subspace the census fixes is kept with its own image
-    table over these ids (see _Stabilizer); the stabilizer of the zero
-    space is GL_n(F_p) itself.
+    GL_n(F_p) of each coordinate span the census fixes is kept per
+    dimension k, with its own image table over these ids (see _Stabilizer);
+    at k = 0 it is GL_n(F_p) itself.
     """
 
     def __init__(self, p: int, n: int):
@@ -186,9 +177,9 @@ class SubspaceSpace:
             frontier = nxt
         return tuple(sorted(frontier))
 
-    def stabilizer(self, sid: int) -> _Stabilizer:
-        """The stabilizer of subspace sid in GL_n(F_p), created once."""
-        return memo(self._stabilizers, sid, _Stabilizer, self, sid)
+    def stabilizer(self, k: int) -> _Stabilizer:
+        """The stabilizer in GL_n(F_p) of span(e_0, ..., e_{k-1}), created once."""
+        return memo(self._stabilizers, k, _Stabilizer, self, k)
 
     def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
         """Canonical basis of the subspace, as columns of an ExactMatrix."""
@@ -197,50 +188,35 @@ class SubspaceSpace:
 
 
 class _Stabilizer:
-    """The stabilizer in GL_n(F_p) of one subspace S, acting on the ids of
-    its SubspaceSpace.
+    """The stabilizer in GL_n(F_p) of the coordinate span
+    S_k = span(e_0, ..., e_{k-1}), acting on the ids of its SubspaceSpace.
 
-    With k = dim S, the stabilizer of span(e_0, ..., e_{k-1}) is the block
-    upper triangular group, generated by the elementary column operations
-    x_i += x_j with i < k or j >= k and, when p > 2, by scaling x_0 and x_k
-    by a primitive root.  For S itself these are conjugated by a basis T
-    whose first k rows are S's echelon rows, X becoming T^-1 X T on row
-    vectors.  Each generator is I + c E_ji, so its conjugate is a pair
-    (u, w) acting as v -> v + (v . u) w, with u = c T^-1 e_j and w row i of
-    T.  T is the identity when S is a coordinate span, and with k = 0 or
-    k = n the group is GL_n(F_p).  The actions are kept as one table over
-    the subspace ids, row g holding the image of each id under generator g
-    (-1 where not yet computed), grown under the package lock.
+    It is the block upper triangular group, generated by the elementary
+    column operations (i, j, c), x_i += c x_j on row vectors, with i < k or
+    j >= k, and, when p > 2, by scaling x_0 and x_k by a primitive root; with
+    k = 0 or k = n it is GL_n(F_p).  fixed is the id of S_k.  The actions are
+    kept as one table over the subspace ids, row g holding the image of each
+    id under generator g (-1 where not yet computed), grown under the package
+    lock.
     """
 
-    def __init__(self, space: SubspaceSpace, sid: int):
+    def __init__(self, space: SubspaceSpace, k: int):
         self.space = space
         n, p = space.n, space.p
-        basis = space.basis_rows(sid)
-        k = len(basis)
-        pivots = {next(a for a, x in enumerate(row) if x) for row in basis}
-        identity = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-        t = list(basis) + [identity[m] for m in range(n) if m not in pivots]
-        reduced, _ = rref([row + e for row, e in zip(t, identity)], 2 * n, p)
-        inverse = [row[n:] for row in reduced]
-        ops = [(i, j, 1) for i in range(n) for j in range(n)
-               if i != j and (i < k or j >= k)]
+        self.fixed = space._intern(tuple(tuple(int(a == b) for a in range(n)) for b in range(k)))
+        self.generators = [(i, j, 1) for i in range(n) for j in range(n)
+                           if i != j and (i < k or j >= k)]
         if p > 2:
-            ops += [(m, m, _primitive_root(p) - 1) for m in sorted({0, k}) if m < n]
-        self.generators = [(tuple(c * row[j] % p for row in inverse), t[i])
-                           for i, j, c in ops]
-        self._table = np.full((len(ops), 0), -1, dtype=np.int64)
+            self.generators += [(m, m, _primitive_root(p) - 1) for m in sorted({0, k}) if m < n]
+        self._table = np.full((len(self.generators), 0), -1, dtype=np.int64)
 
     def apply(self, g: int, sid: int) -> int:
-        """The id of generator g applied to subspace sid: the generator on
-        each echelon row, then re-reduced and interned."""
+        """The id of generator g applied to subspace sid: c row[j] added to
+        row[i] of each echelon row, then re-reduced and interned."""
         p = self.space.p
-        u, w = self.generators[g]
-        rows = []
-        for row in self.space.basis_rows(sid):
-            s = sum(x * y for x, y in zip(row, u)) % p
-            rows.append([(x + s * y) % p for x, y in zip(row, w)] if s else row)
-        return self.space._intern_span(rows)
+        i, j, c = self.generators[g]
+        return self.space._intern_span(row[:i] + ((row[i] + c * row[j]) % p,) + row[i + 1:]
+                                       for row in self.space.basis_rows(sid))
 
     def table(self, ids: np.ndarray) -> np.ndarray:
         """The (generators, ·) image table, filled in at least for the ids in
@@ -269,29 +245,33 @@ def _space(p: int, n: int) -> SubspaceSpace:
 
 
 def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
-                     budget: int) -> tuple[list[tuple[int, ...]], int, int]:
+                     budget: int) -> tuple[list[tuple[int, ...]], _Stabilizer, int]:
     """The fibre of the census of d over its first element.
 
     Elements are enumerated minimal first, so the first one, of dimension
-    k = d(first), takes every k-subspace in the outermost loop.  Returns the
-    configurations realizing d exactly (quotient dimensions) in which it
-    takes the first of them, S, in enumeration order; then S (the zero space
-    when the support is empty) and the number of k-subspaces, the factor by
-    which the full enumeration is larger.  BudgetExceeded is raised as soon
-    as the full count would pass the budget.
+    k = d(first), may take any of the k-subspaces; here it is fixed to the
+    coordinate span S_k.  Returns the configurations realizing d exactly
+    (quotient dimensions) in which it takes S_k, in enumeration order; then
+    the stabilizer of S_k (GL(d0) itself when the support is empty or k
+    exceeds d0) and the number of k-subspaces, the factor by which the full
+    enumeration is larger.  They are counted through space.supersets before
+    S_k is looked up, so a cold space interns them in the same order as the
+    full enumeration.  BudgetExceeded is raised as soon as the full count
+    would pass the budget.
     """
     elems = poset.elements
     below = {a: poset.sorted_subset(strict_lower_cone(poset, a)) for a in elems}
     order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
     if not order:
-        return [()], space.zero_id, 1
+        return [()], space.stabilizer(0), 1
     k = d.get(order[0])
     firsts = space.supersets(space.zero_id, k) if k <= space.n else ()
     if not firsts:
-        return [], space.zero_id, 0
+        return [], space.stabilizer(0), 0
+    group = space.stabilizer(k)
     cap = budget // len(firsts)
     out: list[tuple[int, ...]] = []
-    assignment = {order[0]: firsts[0]}
+    assignment = {order[0]: group.fixed}
 
     def rec(i: int):
         if i == len(order):
@@ -312,7 +292,7 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
             del assignment[a]
 
     rec(1)
-    return out, firsts[0], len(firsts)
+    return out, group, len(firsts)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -396,15 +376,17 @@ _CENSUS_CACHE: dict[tuple, _CensusCore] = {}
 def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _CensusCore:
     """The census of d, taken on the fibre over its first element.
 
-    GL(d0) is transitive on the subspaces the first element can take, so
-    each GL(d0)-orbit meets the fibre over S in exactly one orbit of the
-    stabilizer of S.  The fibre comes first in the enumeration, so the first
-    configuration of every orbit lies in it: the representatives are those
-    of the full enumeration, in the same order.
+    GL(d0) is transitive on the k-subspaces the first element can take, so
+    each GL(d0)-orbit meets the fibre over the coordinate span S_k in
+    exactly one orbit of its stabilizer, and the representatives are the
+    first configuration of each, in the fibre's order.  Where S_k has the
+    least id among the k-subspaces, as on a cold space, the fibre is the
+    first block of the full enumeration: the representatives are those of
+    the full enumeration, in the same order.
     """
     space = _space(p, d.d0)
-    configs, first, n_firsts = _enumerate_fibre(canon, d, space, budget)
-    reps = _orbit_representatives(configs, space.stabilizer(first))
+    configs, group, n_firsts = _enumerate_fibre(canon, d, space, budget)
+    reps = _orbit_representatives(configs, group)
     field = FieldSpec("gf", p)
     indec = []
     for cfg in reps:

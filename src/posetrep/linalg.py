@@ -183,17 +183,18 @@ class ExactMatrix(Value):
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
+        check_counts(field)
         coerced = [[field.coerce(x) for x in row] for row in rows]
         return cls(field, len(coerced), len(coerced[0]) if coerced else 0, coerced)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix dimensions must be non-negative")
+        check_counts(field, rows, cols)
         return cls._of(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
+        check_counts(field, n)
         z, o = field.zero(), field.one()
         return cls._of(field, n, n, tuple(tuple(o if i == j else z for j in range(n))
                                           for i in range(n)))

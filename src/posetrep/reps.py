@@ -242,13 +242,6 @@ class ElMorphism:
             return False
         return all(m.is_invertible() for m in self.phi_diag.values())
 
-    def __add__(self, other: "ElMorphism") -> "ElMorphism":
-        return ElMorphism(
-            self.phi0 + other.phi0,
-            {a: m + other.phi_diag[a] for a, m in self.phi_diag.items()},
-            {k: m + other.phi_tri[k] for k, m in self.phi_tri.items()},
-        )
-
 
 def _hom_slots(u: MatrixRep, v: MatrixRep):
     """Unknown layout for the morphism system u -> v."""
@@ -423,11 +416,7 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
         img = column_space_basis(g)
         ker_vecs = g.nullspace_basis()
         ker = ExactMatrix._of(field, n, len(ker_vecs), _columns(ker_vecs, n))
-        A = hstack([img, ker])
-        diag = ExactMatrix._of(field, n, n, tuple(
-            tuple(field.one() if (i == j and i < r) else field.zero() for j in range(n))
-            for i in range(n)))
-        e = A @ diag @ A.inverse()
+        e = hstack([img, ExactMatrix.zeros(field, n, n - r)]) @ hstack([img, ker]).inverse()
         if e @ e != e:
             raise InvariantViolated("splitting element is not idempotent")
         return e

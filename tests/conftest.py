@@ -152,6 +152,13 @@ def el_morphism_satisfies(phi: pr.ElMorphism, u: pr.MatrixRep, v: pr.MatrixRep) 
     return True
 
 
+def add(phi: pr.ElMorphism, psi: pr.ElMorphism) -> pr.ElMorphism:
+    """The sum of two morphisms between the same elements, block by block."""
+    return pr.ElMorphism(phi.phi0 + psi.phi0,
+                         {a: m + psi.phi_diag[a] for a, m in phi.phi_diag.items()},
+                         {k: m + psi.phi_tri[k] for k, m in phi.phi_tri.items()})
+
+
 def compose(psi: pr.ElMorphism, phi: pr.ElMorphism, poset: Poset) -> pr.ElMorphism:
     """psi after phi, with the triangular convolution on the lower parts."""
     diag = {a: psi.phi_diag[a] @ phi.phi_diag[a] for a in poset.elements}

@@ -97,6 +97,11 @@ def test_public_constructors_still_check(a3):
         (pr.ValidationError, lambda: ExactMatrix("GF(2)", 1, 1, [[1]])),
         (pr.ValidationError, lambda: ExactMatrix(F2, 1, 2, [[1]])),
         (pr.ValidationError, lambda: ExactMatrix(F2, 1, 1, [[2]])),
+        (pr.ValidationError, lambda: ExactMatrix.identity(F2, -1)),
+        (pr.ValidationError, lambda: ExactMatrix.identity(F2, 1.5)),
+        (pr.ValidationError, lambda: ExactMatrix.zeros(F2, 1.5, 0)),
+        (pr.ValidationError, lambda: ExactMatrix.zeros(F2, 0, -1)),
+        (pr.ValidationError, lambda: ExactMatrix.from_rows("GF2", [[1]])),
         (pr.ValidationError, lambda: MatrixRep(a3, F2, -1, {})),
         (pr.ValidationError, lambda: MatrixRep(a3, F2, 1.5, {})),
         (pr.ValidationError, lambda: MatrixRep(a3, F2, "2", {})),

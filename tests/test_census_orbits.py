@@ -23,10 +23,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "posetrep"
 
 def generator_matrix(group, g):
     """Generator g of a stabilizer as an n x n matrix on row vectors:
-    I + u w^T for its pair (u, w)."""
-    u, w = group.generators[g]
+    I + c E_ji for its column operation (i, j, c), x_i += c x_j."""
+    i, j, c = group.generators[g]
     n, p = group.space.n, group.space.p
-    return [[(int(a == b) + u[a] * w[b]) % p for b in range(n)] for a in range(n)]
+    return [[(int(a == b) + c * (a == j and b == i)) % p for b in range(n)] for a in range(n)]
 
 
 def elementary_gl_matrices(n, p):
@@ -86,17 +86,6 @@ def gl_order(n, p):
 def gaussian_binomial(n, k, p):
     return math.prod(p ** (n - i) - 1 for i in range(k)) // \
         math.prod(p ** (i + 1) - 1 for i in range(k))
-
-
-def fixed_subspaces(space, k):
-    """The k-subspaces a stabilizer test fixes: the census's first candidate
-    and, when 0 < k < n, span(e_0 + e_1, ..., e_{k-1} + e_k), which is no
-    coordinate span, so its stabilizer is conjugated."""
-    out = [space.supersets(space.zero_id, k)[0]]
-    if 0 < k < space.n:
-        rows = [[int(a in (m, m + 1)) for a in range(space.n)] for m in range(k)]
-        out.append(space._intern_span(rows))
-    return out
 
 
 def flood_representatives(configs, space):
@@ -184,10 +173,10 @@ def check_fibre_census(poset, d, p):
     configs, space = census_configs(poset, d, p)
     reps = flood_representatives(configs, space)
     canon, dc = canonical(poset, d)
-    fibre, first, m = classify._enumerate_fibre(canon, dc, space,
+    fibre, group, m = classify._enumerate_fibre(canon, dc, space,
                                                 classify.DEFAULT_ENUM_BUDGET)
     assert fibre == configs[:len(fibre)] and len(fibre) * m == len(configs), d
-    assert classify._orbit_representatives(fibre, space.stabilizer(first)) == reps, d
+    assert classify._orbit_representatives(fibre, group) == reps, d
     core = classify._census_core(canon, dc, p, classify.DEFAULT_ENUM_BUDGET)
     assert (core.count, core.n_configs) == (len(reps), len(configs)), d
     assert list(core.indec_configs) == [c for c in reps if c in core.indec_configs], d
@@ -211,13 +200,15 @@ def test_column_operations_match_matrix_products(p, n):
     assert len(subspaces) == {(2, 1): 2, (2, 2): 5, (2, 3): 16, (2, 4): 67,
                               (3, 1): 2, (3, 2): 6, (3, 3): 28}[p, n]
     for k in range(n + 1):
-        for s in fixed_subspaces(space, k):
-            group = space.stabilizer(s)
-            for g in range(len(group.generators)):
-                assert group.apply(g, s) == matrix_apply_generator(group, g, s) == s
-                for sid in subspaces:
-                    assert group.apply(g, sid) == matrix_apply_generator(group, g, sid), \
-                        (group.generators[g], space.basis_rows(sid))
+        group = space.stabilizer(k)
+        s = group.fixed
+        assert space.basis_rows(s) == tuple(tuple(int(a == b) for a in range(n))
+                                            for b in range(k))
+        for g in range(len(group.generators)):
+            assert group.apply(g, s) == matrix_apply_generator(group, g, s) == s
+            for sid in subspaces:
+                assert group.apply(g, sid) == matrix_apply_generator(group, g, sid), \
+                    (group.generators[g], space.basis_rows(sid))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
@@ -227,10 +218,9 @@ def test_generators_generate_gl(p, n):
     space = classify.SubspaceSpace(p, n)
     assert group_order(elementary_gl_matrices(n, p), n, p) == gl_order(n, p)
     for k in range(n + 1):
-        for s in fixed_subspaces(space, k):
-            group = space.stabilizer(s)
-            gens = [generator_matrix(group, g) for g in range(len(group.generators))]
-            assert group_order(gens, n, p) == gl_order(n, p) // gaussian_binomial(n, k, p)
+        group = space.stabilizer(k)
+        gens = [generator_matrix(group, g) for g in range(len(group.generators))]
+        assert group_order(gens, n, p) == gl_order(n, p) // gaussian_binomial(n, k, p)
 
 
 def test_count_readers_never_lift(a3, chain4, monkeypatch):
@@ -307,17 +297,39 @@ def test_orbits_match_flood_on_antichains(m, n, p):
 
 
 def test_orbit_closure_violation_raises():
-    space = classify._space(2, 2)
+    space = classify.SubspaceSpace(2, 2)
     lines = space.supersets(space.zero_id, 1)
     # two of the three lines of F_2^2: GL_2 moves one of them to the third
     with pytest.raises(pr.InvariantViolated):
-        classify._orbit_representatives([(lines[0],), (lines[1],)],
-                                        space.stabilizer(space.zero_id))
-    # a fibre over the first line missing a configuration: its stabilizer
-    # moves the second line to the third
+        classify._orbit_representatives([(lines[0],), (lines[1],)], space.stabilizer(0))
+    # a fibre over the first line, span(e_0), missing a configuration: its
+    # stabilizer moves the second line to the third
+    assert space.stabilizer(1).fixed == lines[0]
     with pytest.raises(pr.InvariantViolated):
         classify._orbit_representatives([(lines[0], lines[1]), (lines[0], lines[0])],
-                                        space.stabilizer(lines[0]))
+                                        space.stabilizer(1))
+
+
+def test_fibre_fixed_at_the_coordinate_span():
+    # a space that interned span(e_0 + e_1) before any other line: the fibre
+    # still fixes the first element to span(e_0), and the census still
+    # counts the classes the full enumeration has
+    cold()
+    try:
+        space = classify._space(2, 2)
+        space.extend(space.zero_id, 3)
+        canon, dc = canonical(antichain(3), ones(3, 2))
+        fibre, group, m = classify._enumerate_fibre(canon, dc, space,
+                                                    classify.DEFAULT_ENUM_BUDGET)
+        first = space._intern_span([[1, 0]])
+        assert space.supersets(space.zero_id, 1)[0] != first
+        assert fibre and {cfg[0] for cfg in fibre} == {first}
+        assert group.fixed == first and m == 3
+        assert classify._census_core(canon, dc, 2, classify.DEFAULT_ENUM_BUDGET).count == \
+            len(flood_representatives(enumerate_configs(canon, dc, space), space)) == \
+            burnside_point_tuple_orbits(2, 2, 3)
+    finally:
+        cold()
 
 
 def test_row_keys_exact_past_int64():

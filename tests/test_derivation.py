@@ -13,7 +13,7 @@ from posetrep.linalg import (ExactMatrix, complete_to_full_rank, hstack, solve_c
 from posetrep.poset import incomparables, strict_lower_cone
 from posetrep.reps import rep_decompose
 
-from conftest import all_dimensions, cold, positive_roots, random_element, vstack
+from conftest import add, all_dimensions, cold, positive_roots, random_element, vstack
 
 F2, F3 = pr.GF(2), pr.GF(3)
 
@@ -237,7 +237,7 @@ def test_integration_constant_on_iso_classes(a3, a3ctx):
             cand = None
             for h in hom:
                 if rng.randrange(2):
-                    cand = h if cand is None else cand + h
+                    cand = h if cand is None else add(cand, h)
             if cand is not None and cand.is_invertible():
                 blocks = {}
                 inv0 = cand.phi0.inverse()
