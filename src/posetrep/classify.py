@@ -3,8 +3,10 @@
 Isomorphism classes of representations with an exact dimension vector are
 counted on the fibre over the first element: the first element, of
 dimension k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}),
-the rest are enumerated, and the orbits of the block triangular stabilizer
-of S_k are taken on arrays, one per GL(d0)-orbit.  Each generator permutes the
+the rest are enumerated in echelon order, and the orbits of the block
+triangular stabilizer of S_k are taken on arrays, one per GL(d0)-orbit; the
+first configuration of each orbit represents it, so the representatives
+depend on the support, d and p alone.  Each generator permutes the
 interned subspace ids through a lazily grown table, all configurations are
 moved at once, image rows are found by searching their bytes among the
 configurations' sorted bytes, and the orbits are the connected components
@@ -29,6 +31,7 @@ package's one lock, and the stabilizer tables grow under the same lock.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -55,11 +58,10 @@ from .reps import (
     el_hom_basis,
     lift,
     rep_end_dimension,
-    rep_hom_basis,
     rho,
     special_T,
-    _find_splitting_idempotent,
     _padded_blocks,
+    _splitting_idempotent,
 )
 from .tits import (
     DimensionVector,
@@ -76,45 +78,28 @@ def _primitive_root(p: int) -> int:
 
 
 class SubspaceSpace:
-    """Interned subspaces of F_p^n with memoized spans and stabilizer actions.
+    """Interned subspaces of F_p^n with memoized joins, supersets and
+    stabilizer actions.
 
-    Vectors are encoded as base-p integers; a subspace is the canonical
-    tuple of its reduced-echelon basis rows, which linalg.rref, the one
-    elimination kernel, returns for any spanning set.  The stabilizer in
-    GL_n(F_p) of each coordinate span the census fixes is kept per
-    dimension k, with its own image table over these ids (see _Stabilizer);
-    at k = 0 it is GL_n(F_p) itself.
+    A subspace is the canonical tuple of its reduced-echelon basis rows, which
+    linalg.rref, the one elimination kernel, returns for any spanning set; its
+    id is its place in interning order.  supersets lists in echelon order,
+    by pivot columns and then rows, so what a census enumerates depends on
+    the subspaces alone, never on their ids.  The stabilizer in GL_n(F_p) of
+    each coordinate span the census fixes is kept per dimension k, with its
+    own image table over these ids (see _Stabilizer); at k = 0 it is
+    GL_n(F_p) itself.
     """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.pn = p ** n
         self._keys: dict[tuple, int] = {}
         self._basis: list[tuple] = []
-        self._vectors: dict[int, frozenset] = {}
-        self._extend: dict[tuple[int, int], int] = {}
         self._join: dict[tuple[int, int], int] = {}
         self._supersets: dict[tuple[int, int], tuple[int, ...]] = {}
         self._stabilizers: dict[int, _Stabilizer] = {}
         self.zero_id = self._intern(())
-
-    # vector encoding ------------------------------------------------------
-
-    def vec_tuple(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def tuple_vec(self, t: Sequence[int]) -> int:
-        v = 0
-        for x in reversed(t):
-            v = v * self.p + x % self.p
-        return v
-
-    # interning --------------------------------------------------------------
 
     def _intern(self, rows: tuple[tuple[int, ...], ...]) -> int:
         sid = self._keys.get(rows)
@@ -135,47 +120,39 @@ class SubspaceSpace:
     def dim(self, sid: int) -> int:
         return len(self._basis[sid])
 
-    def vectors(self, sid: int) -> frozenset:
-        return memo(self._vectors, sid, self._expand, sid)
-
-    def _expand(self, sid: int) -> frozenset:
-        rows = self._basis[sid]
-        return frozenset(
-            self.tuple_vec([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
-            for coeffs in itertools.product(range(self.p), repeat=len(rows)))
-
-    def extend(self, sid: int, vec: int) -> int:
-        return memo(self._extend, (sid, vec), self._span_with, sid, vec)
-
-    def _span_with(self, sid: int, vec: int) -> int:
-        return self._intern_span(self._basis[sid] + (self.vec_tuple(vec),))
-
     def join(self, s1: int, s2: int) -> int:
         if s1 > s2:
             s1, s2 = s2, s1
         return memo(self._join, (s1, s2), self._join_rows, s1, s2)
 
     def _join_rows(self, s1: int, s2: int) -> int:
-        got = s1
-        for row in self._basis[s2]:
-            got = self.extend(got, self.tuple_vec(row))
-        return got
+        return self._intern_span(self._basis[s1] + self._basis[s2])
 
     def supersets(self, sid: int, k: int) -> tuple[int, ...]:
-        """All subspaces containing sid with dim(sid) + k dimensions."""
+        """All subspaces containing sid with dim(sid) + k dimensions, sorted
+        by (pivot columns, echelon rows): with sid = zero_id the coordinate
+        span S_k comes first."""
         return memo(self._supersets, (sid, k), self._grow, sid, k)
 
     def _grow(self, sid: int, k: int) -> tuple[int, ...]:
-        frontier = {sid}
-        for _ in range(k):
-            nxt = set()
-            for s in frontier:
-                members = self.vectors(s)
-                for v in range(1, self.pn):
-                    if v not in members:
-                        nxt.add(self.extend(s, v))
-            frontier = nxt
-        return tuple(sorted(frontier))
+        """Each superset T of sid built once, as sid + W for W in echelon form
+        on the columns off sid's pivots, which stand for the quotient by sid:
+        each choice of k pivot columns, then each value of the free entries
+        right of the pivots; T is reduced with one rref."""
+        n, p = self.n, self.p
+        rows = self._basis[sid]
+        taken = {row.index(1) for row in rows}
+        free = [c for c in range(n) if c not in taken]
+        found = []
+        for piv in itertools.combinations(free, k):
+            slots = [(r, c) for r, q in enumerate(piv) for c in free if c > q and c not in piv]
+            for values in itertools.product(range(p), repeat=len(slots)):
+                lifted = [[int(c == q) for c in range(n)] for q in piv]
+                for (r, c), x in zip(slots, values):
+                    lifted[r][c] = x
+                reduced, pivots = rref([*rows, *lifted], n, p)
+                found.append((pivots, tuple(map(tuple, reduced))))
+        return tuple(self._intern(reduced) for _, reduced in sorted(found))
 
     def stabilizer(self, k: int) -> _Stabilizer:
         """The stabilizer in GL_n(F_p) of span(e_0, ..., e_{k-1}), created once."""
@@ -251,25 +228,25 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     Elements are enumerated minimal first, so the first one, of dimension
     k = d(first), may take any of the k-subspaces; here it is fixed to the
     coordinate span S_k.  Returns the configurations realizing d exactly
-    (quotient dimensions) in which it takes S_k, in enumeration order; then
-    the stabilizer of S_k (GL(d0) itself when the support is empty or k
-    exceeds d0) and the number of k-subspaces, the factor by which the full
-    enumeration is larger.  They are counted through space.supersets before
-    S_k is looked up, so a cold space interns them in the same order as the
-    full enumeration.  BudgetExceeded is raised as soon as the full count
-    would pass the budget.
+    (quotient dimensions) in which it takes S_k, in enumeration order, which
+    follows space.supersets; then the stabilizer of S_k (GL(d0) itself when
+    the support is empty or k exceeds d0) and the number of k-subspaces, the
+    Gaussian binomial [d0 k]_p, the factor by which the full enumeration is
+    larger.  BudgetExceeded is raised as soon as the full count would pass
+    the budget.
     """
     elems = poset.elements
     below = {a: poset.sorted_subset(strict_lower_cone(poset, a)) for a in elems}
     order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
     if not order:
         return [()], space.stabilizer(0), 1
-    k = d.get(order[0])
-    firsts = space.supersets(space.zero_id, k) if k <= space.n else ()
-    if not firsts:
+    k, n, p = d.get(order[0]), space.n, space.p
+    if k > n:
         return [], space.stabilizer(0), 0
+    firsts = math.prod(p ** (n - i) - 1 for i in range(k)) // \
+        math.prod(p ** (i + 1) - 1 for i in range(k))
     group = space.stabilizer(k)
-    cap = budget // len(firsts)
+    cap = budget // firsts
     out: list[tuple[int, ...]] = []
     assignment = {order[0]: group.fixed}
 
@@ -292,7 +269,7 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
             del assignment[a]
 
     rec(1)
-    return out, group, len(firsts)
+    return out, group, firsts
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -379,10 +356,10 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     GL(d0) is transitive on the k-subspaces the first element can take, so
     each GL(d0)-orbit meets the fibre over the coordinate span S_k in
     exactly one orbit of its stabilizer, and the representatives are the
-    first configuration of each, in the fibre's order.  Where S_k has the
-    least id among the k-subspaces, as on a cold space, the fibre is the
-    first block of the full enumeration: the representatives are those of
-    the full enumeration, in the same order.
+    first configuration of each, in the fibre's order.  S_k leads the
+    k-subspaces in echelon order, so the fibre is the first block of the full
+    enumeration: the representatives are those of the full enumeration, in
+    the same order, whatever the process interned before.
     """
     space = _space(p, d.d0)
     configs, group, n_firsts = _enumerate_fibre(canon, d, space, budget)
@@ -392,9 +369,7 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     for cfg in reps:
         subs = {a: space.to_matrix(cfg[i], field)
                 for i, a in enumerate(canon.elements)}
-        v = SubspaceRep._of(canon, field, d.d0, subs)
-        basis = [m.f for m in rep_hom_basis(v, v)]
-        if _find_splitting_idempotent(basis, d.d0, field) is None:
+        if _splitting_idempotent(SubspaceRep._of(canon, field, d.d0, subs)) is None:
             indec.append(cfg)
     return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 

@@ -36,7 +36,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

@@ -58,9 +58,10 @@ def poset_from_json(obj) -> Poset:
     if "0" in elements:
         raise ValidationError('the label "0" is reserved for the ambient dimension')
     if not isinstance(relations, list) or not all(
-        isinstance(r, (list, tuple)) and len(r) == 2 for r in relations
+        isinstance(r, (list, tuple)) and len(r) == 2 and all(isinstance(x, str) for x in r)
+        for r in relations
     ):
-        raise ValidationError("poset relations must be a list of [a, b] pairs")
+        raise ValidationError("poset relations must be a list of [a, b] string pairs")
     return build_poset(elements, [tuple(r) for r in relations])
 
 

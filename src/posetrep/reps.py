@@ -450,6 +450,12 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
     return None
 
 
+def _splitting_idempotent(v: SubspaceRep, budget: int | None = None) -> ExactMatrix | None:
+    """A nontrivial idempotent of End(v), or None when End(v) is local."""
+    return _find_splitting_idempotent([m.f for m in rep_hom_basis(v, v)], v.ambient_dim,
+                                      v.field, budget)
+
+
 def _restrict_rep(v: SubspaceRep, e: ExactMatrix) -> tuple[SubspaceRep, ExactMatrix]:
     """Restriction of v to the image of the idempotent e, in the coordinates
     of the canonical basis C of that image; and C."""
@@ -464,8 +470,7 @@ def _split(v: SubspaceRep, budget: int | None) -> list[tuple[SubspaceRep, ExactM
     space; the inclusions side by side form an invertible matrix."""
     if v.ambient_dim == 0:
         return []
-    basis = [m.f for m in rep_hom_basis(v, v)]
-    e = _find_splitting_idempotent(basis, v.ambient_dim, v.field, budget)
+    e = _splitting_idempotent(v, budget)
     ident = ExactMatrix.identity(v.field, v.ambient_dim)
     if e is None:
         return [(v, ident)]
@@ -506,9 +511,7 @@ def is_indecomposable(u: MatrixRep, budget: int | None = None) -> bool:
         return tcount == 1
     if tcount > 0:
         return False
-    v = rho(reduced)
-    basis = [m.f for m in rep_hom_basis(v, v)]
-    return _find_splitting_idempotent(basis, v.ambient_dim, v.field, budget) is None
+    return _splitting_idempotent(rho(reduced), budget) is None
 
 
 # -- isomorphism ------------------------------------------------------------------------

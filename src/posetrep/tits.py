@@ -81,8 +81,15 @@ def _check_dimension(p: Poset, d: DimensionVector):
 
 
 def tits_value(p: Poset, d: DimensionVector) -> int:
+    """Q(d) = d0² + Σ_a d(a)² + Σ_{a≺b} d(a)d(b) − d0·Σ_a d(a), summed
+    directly; it equals group_dimension − space_dimension."""
     _check_dimension(p, d)
-    return group_dimension(p, d) - space_dimension(p, d)
+    q = d.d0 * d.d0
+    for x in d.values.values():
+        q += x * (x - d.d0)
+    for a, b in p.relation_pairs():
+        q += d.get(a) * d.get(b)
+    return q
 
 
 def group_dimension(p: Poset, d: DimensionVector) -> int:

@@ -3,8 +3,10 @@ checked against the full enumeration, the per-tuple flood and matrix-product
 generator actions."""
 
 import ast
+import itertools
 import math
 import pathlib
+import random
 import sys
 import threading
 
@@ -211,6 +213,38 @@ def test_column_operations_match_matrix_products(p, n):
                     (group.generators[g], space.basis_rows(sid))
 
 
+def all_subspaces(p, n):
+    """Reference oracle: every subspace of F_p^n as its reduced echelon rows,
+    the spans of ever longer tuples of vectors, without SubspaceSpace."""
+    vectors = list(itertools.product(range(p), repeat=n))
+    found = frontier = {()}
+    while frontier:
+        frontier = {tuple(map(tuple, rref([*rows, v], n, p)[0]))
+                    for rows in frontier for v in vectors} - found
+        found = found | frontier
+    return found
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                 (3, 1), (3, 2), (3, 3)])
+def test_supersets_match_spans_in_echelon_order(p, n):
+    # every subspace interned first in reverse echelon order, so ids run
+    # against the order supersets must keep
+    subspaces = sorted(all_subspaces(p, n), key=lambda rows: (rref(rows, n, p)[1], rows))
+    space = classify.SubspaceSpace(p, n)
+    ids = {rows: space._intern_span(rows) for rows in reversed(subspaces)}
+    for s in subspaces:
+        for k in range(n - len(s) + 1):
+            got = [space.basis_rows(sid) for sid in space.supersets(ids[s], k)]
+            want = [t for t in subspaces if len(t) == len(s) + k
+                    and tuple(map(tuple, rref([*t, *s], n, p)[0])) == t]
+            assert sorted(got) == sorted(want), (s, k)
+            assert got == want, (s, k)
+    for k in range(n + 1):
+        assert space.basis_rows(space.supersets(space.zero_id, k)[0]) == \
+            tuple(tuple(int(a == b) for a in range(n)) for b in range(k))
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
 def test_generators_generate_gl(p, n):
     # at k = 0 and k = n the stabilizer is GL_n itself; at every k its order
@@ -312,22 +346,50 @@ def test_orbit_closure_violation_raises():
 
 def test_fibre_fixed_at_the_coordinate_span():
     # a space that interned span(e_0 + e_1) before any other line: the fibre
-    # still fixes the first element to span(e_0), and the census still
-    # counts the classes the full enumeration has
+    # still fixes the first element to span(e_0), which still leads the
+    # lines, and the census still counts the classes the full enumeration has
     cold()
     try:
         space = classify._space(2, 2)
-        space.extend(space.zero_id, 3)
+        space._intern_span([[1, 1]])
         canon, dc = canonical(antichain(3), ones(3, 2))
         fibre, group, m = classify._enumerate_fibre(canon, dc, space,
                                                     classify.DEFAULT_ENUM_BUDGET)
         first = space._intern_span([[1, 0]])
-        assert space.supersets(space.zero_id, 1)[0] != first
+        assert space.supersets(space.zero_id, 1)[0] == first
         assert fibre and {cfg[0] for cfg in fibre} == {first}
         assert group.fixed == first and m == 3
         assert classify._census_core(canon, dc, 2, classify.DEFAULT_ENUM_BUDGET).count == \
             len(flood_representatives(enumerate_configs(canon, dc, space), space)) == \
             burnside_point_tuple_orbits(2, 2, 3)
+    finally:
+        cold()
+
+
+def test_census_independent_of_interning_history(a3, a4):
+    # each scramble interns random subspaces in five spaces before verify
+    # runs: the reports, printed indecomposables included, are the cold ones
+    posets = [a3, a4, pr.primitive_poset(1, 1, 2)]
+
+    def reports(poset):
+        poset._cache.clear()
+        return pr.verify_main_theorem(poset, 5, [F2, F3])
+
+    try:
+        expected = []
+        for poset in posets:
+            cold()
+            expected.append(reports(poset))
+        for seed in range(8):
+            for poset, cold_reports in zip(posets, expected):
+                cold()
+                rng = random.Random(seed)
+                for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+                    space = classify._space(p, n)
+                    for _ in range(20):
+                        space._intern_span([[rng.randrange(p) for _ in range(n)]
+                                            for _ in range(rng.randint(1, n))])
+                assert reports(poset) == cold_reports, (seed, poset.elements)
     finally:
         cold()
 

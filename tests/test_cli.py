@@ -176,6 +176,14 @@ def test_validation_errors(tmp_path, capsys, a3_file):
     bad.write_text("{nope")
     code, _ = run(capsys, "tits", "--poset", str(bad), "--dim", str(bad))
     assert code == 2
+    # a file that is not UTF-8, and a relation member that is not a string
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"elements": ["\xe9"]}')
+    pair = write(tmp_path, "pair.json", {"elements": ["x", "y"], "relations": [["x", ["y"]]]})
+    one = write(tmp_path, "one.json", {"0": 1})
+    for poset in (latin, pair):
+        code, _ = run(capsys, "tits", "--poset", str(poset), "--dim", one)
+        assert code == 2
     dim = write(tmp_path, "d.json", {"0": 1, "unknown": 1})
     code, _ = run(capsys, "tits", "--poset", a3_file, "--dim", dim)
     assert code == 2
