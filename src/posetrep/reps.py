@@ -11,16 +11,18 @@ built here goes through _of: its blocks are valid, its subspaces canonical
 and order preserving by construction.
 
 Decomposition splits off trivial columns, then splits the representation by
-idempotents of its endomorphism algebra, found by a seeded search, and keeps
-each summand's inclusion.  Isomorphism pairs the summands of two
+idempotents of its endomorphism algebra, found by a deterministic decision,
+and keeps each summand's inclusion.  Isomorphism pairs the summands of two
 decompositions and lifts the assembled ambient map to a certificate exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -260,17 +262,12 @@ def _hom_slots(u: MatrixRep, v: MatrixRep):
     return slots, offsets, total
 
 
-def _vector_to_morphism(vec, u: MatrixRep, v: MatrixRep, slots, offsets) -> ElMorphism:
-    field = u.field
-
-    def grab(kind, key, r, c):
-        off = offsets[(kind, key)]
-        return ExactMatrix._of(field, r, c,
-                               tuple(vec[off + i * c: off + (i + 1) * c] for i in range(r)))
-
+def _vector_to_morphism(vec, field: FieldSpec, slots, offsets) -> ElMorphism:
     parts = {"0": {}, "diag": {}, "tri": {}}
     for kind, key, r, c in slots:
-        parts[kind][key] = grab(kind, key, r, c)
+        off = offsets[(kind, key)]
+        parts[kind][key] = ExactMatrix._of(
+            field, r, c, tuple(vec[off + i * c: off + (i + 1) * c] for i in range(r)))
     return ElMorphism(parts["0"][None], parts["diag"], parts["tri"])
 
 
@@ -302,10 +299,8 @@ def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
                         row[off + k * Ma.cols + j] = -x if q is None else -x % q
                 rows.append(row)
     system = ExactMatrix._of(field, len(rows), total, tuple(map(tuple, rows)))
-    return [
-        _vector_to_morphism(vec, u, v, slots, offsets)
-        for vec in system.nullspace_basis()
-    ]
+    return [_vector_to_morphism(vec, field, slots, offsets)
+            for vec in system.nullspace_basis()]
 
 
 def end_dimension(u: MatrixRep) -> int:
@@ -378,32 +373,21 @@ def _kept_columns(u: MatrixRep, a: str) -> list[int]:
     return _independent_columns(stacked_lower_blocks(u, a, strict=True), u.blocks[a])
 
 
-def _combination(basis: list[ExactMatrix], coeffs) -> ExactMatrix | None:
-    """Σ c·b over the nonzero coefficients, or None when all are zero: one
-    candidate of the idempotent search."""
-    cand = None
-    for c, b in zip(coeffs, basis):
-        if c:
-            term = b.scale(c)
-            cand = term if cand is None else cand + term
-    return cand
-
-
 def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpec,
                                budget: int | None = None) -> ExactMatrix | None:
-    """Nontrivial idempotent in the span of basis (an algebra), or None if local.
-
-    Strategy: scan basis elements, pairwise sums and products, then seeded
-    random combinations, using Fitting decompositions; finish with exhaustive
-    enumeration when the algebra is small enough, otherwise give up loudly.
+    """Nontrivial idempotent in the span A of basis (an algebra), or None when
+    A is local.  Deterministic; exact unless it raises UndecidableAtBudget.
+    An element splits A when its Fitting decomposition is nontrivial.  After
+    the basis come, over GF(p), every other element of A (p^dim A within
+    budget), or over Q each x - r, r a rational eigenvalue of a basis element x.
     """
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if n == 0 or len(basis) <= 1:
         return None
     ident = ExactMatrix.identity(field, n)
 
-    def inspect(f: ExactMatrix | None) -> ExactMatrix | None:
-        if f is None or f.is_zero() or f == ident:
+    def inspect(f: ExactMatrix) -> ExactMatrix | None:
+        if f.is_zero() or f == ident:
             return None
         if f @ f == f:
             return f
@@ -421,32 +405,46 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
             raise InvariantViolated("splitting element is not idempotent")
         return e
 
-    def drawn():  # seeded once the scans before it have failed
-        rng = random.Random(0xC0FFEE)
-        low, high = (0, field.p) if field.is_prime_field else (-3, 4)
-        for _ in range(64):
-            yield _combination(basis, [rng.randrange(low, high) for _ in basis])
+    def every():  # each element of A that combines k >= 2 basis elements, by k
+        if field.p ** len(basis) > budget:
+            raise UndecidableAtBudget(
+                f"endomorphism algebra of dimension {len(basis)} over {field.label()} "
+                f"exceeds the idempotent search budget {budget}")
+        zero = ExactMatrix.zeros(field, n, n)
+        for k in range(2, len(basis) + 1):
+            for coeffs in itertools.product(range(1, field.p), repeat=k):
+                for part in itertools.combinations(basis, k):
+                    yield sum((b.scale(c) for c, b in zip(coeffs, part)), zero)
 
-    candidates = itertools.chain(
-        basis,
-        (f + g for f, g in itertools.combinations(basis, 2)),
-        (f @ g for f, g in itertools.permutations(basis, 2)),
-        drawn())
-    for f in candidates:
+    def trace(f: ExactMatrix) -> Fraction:
+        return sum((row[i] for i, row in enumerate(f.data)), field.zero())
+
+    def eigenvalues(x: ExactMatrix) -> list[Fraction]:  # the rational ones, ascending
+        d = math.lcm(*(v.denominator for row in x.data for v in row))
+        y, m, coeffs = x.scale(d), ExactMatrix.zeros(field, n, n), [1]
+        for k in range(1, n + 1):  # det(t - y), monic over Z, by Faddeev-LeVerrier
+            m = y @ m + ident.scale(coeffs[-1])
+            coeffs.append(int(-trace(y @ m) / k))
+        bound = int(max(sum(map(abs, row)) for row in y.data))  # Gershgorin, on y
+        if 2 * bound + 1 > budget:
+            raise UndecidableAtBudget(f"{2 * bound + 1} eigenvalue candidates exceed the "
+                                      f"idempotent search budget {budget}")
+        return [Fraction(c, d) for c in range(-bound, bound + 1)
+                if functools.reduce(lambda acc, a: acc * c + a, coeffs) == 0]
+
+    def shifts():  # over Q; J = rad A is the kernel of the trace form (Dickson)
+        gram = ExactMatrix._of(field, len(basis), len(basis),
+                               tuple(tuple(trace(f @ g) for g in basis) for f in basis))
+        quotient = gram.rank()  # dim A/J: 1 is local, 2 with no split is a field
+        for x in basis if quotient > 1 else ():  # x - r splits A unless r is x's only eigenvalue
+            yield from (x - ident.scale(r) for r in eigenvalues(x))
+        if quotient > 2:
+            raise UndecidableAtBudget(f"End/rad End over Q has dimension {quotient} > 2")
+
+    for f in itertools.chain(basis, every() if field.is_prime_field else shifts()):
         e = inspect(f)
         if e is not None:
             return e
-    if not field.is_prime_field:  # over Q the heuristics above are all we attempt
-        raise UndecidableAtBudget("cannot certify indecomposability over the rationals "
-                                  "at this size")
-    if field.p ** len(basis) > budget:
-        raise UndecidableAtBudget(
-            f"endomorphism algebra of dimension {len(basis)} over {field.label()} "
-            f"exceeds the idempotent search budget {budget}")
-    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-        cand = _combination(basis, coeffs)
-        if cand is not None and cand != ident and cand @ cand == cand:
-            return cand
     return None
 
 
@@ -490,7 +488,8 @@ class Decomposition:
 
 
 def decompose(u: MatrixRep, budget: int | None = None) -> Decomposition:
-    """Krull-Schmidt decomposition; trivial summands are reported separately."""
+    """Krull-Schmidt decomposition; trivial summands are reported separately.
+    budget caps each idempotent search (see _find_splitting_idempotent)."""
     reduced, trivials = split_trivial_columns(u)
     pieces: list[MatrixRep] = []
     if reduced.d0 > 0:
@@ -539,7 +538,7 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
     first invertible element of their hom basis; between isomorphic
     indecomposables the non-isomorphisms form a proper subspace.  The pairs
     assemble one ambient isomorphism, lifted by _lift_isomorphism.  budget
-    bounds only the idempotent search of the two decompositions.
+    caps each idempotent search of the two decompositions, as in decompose.
     """
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if u.poset != v.poset or u.field != v.field:

@@ -132,12 +132,27 @@ def nilpotent_graph(a4: Poset, field) -> pr.MatrixRep:
     """Four planes in F^4 on the 4-antichain w, x, y, z: <e0,e1>, <e2,e3>,
     <e0+e2,e1+e3> and <e0,e1+e2>, the graph of a nilpotent Jordan block.
     Its endomorphism algebra is local of dimension 2, spanned by the identity
-    and a nilpotent, so the idempotent search runs through every stage."""
+    and a nilpotent, so no basis element splits it: over GF(p) the search
+    enumerates End, and over Q its radical quotient is Q."""
     columns = {"w": [[1, 0, 0, 0], [0, 1, 0, 0]], "x": [[0, 0, 1, 0], [0, 0, 0, 1]],
                "y": [[1, 0, 1, 0], [0, 1, 0, 1]], "z": [[1, 0, 0, 0], [0, 1, 1, 0]]}
     return pr.MatrixRep(a4, field, 4, {
         a: ExactMatrix.from_rows(field, [list(row) for row in zip(*cols)])
         for a, cols in columns.items()})
+
+
+def local_by_enumeration(basis: list[ExactMatrix], n: int, field) -> bool:
+    """Over GF(p): whether every element of the span of basis (an algebra of
+    n x n matrices) is nilpotent or invertible, i.e. whether it is local."""
+    zero = ExactMatrix.zeros(field, n, n)
+    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
+        f = sum((b.scale(c) for c, b in zip(coeffs, basis)), zero)
+        power = f
+        for _ in range(n):
+            power = power @ f
+        if not power.is_zero() and not f.is_invertible():
+            return False
+    return True
 
 
 def el_morphism_satisfies(phi: pr.ElMorphism, u: pr.MatrixRep, v: pr.MatrixRep) -> bool:

@@ -70,7 +70,8 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
                                   "antichain_unit_element"}
     assert callers[ExactMatrix] >= {
         "transpose", "take_columns", "_reduced", "__matmul__", "rref", "identity", "zeros",
-        "hstack", "column_space_basis", "span_intersection", "solve_columns", "grab",
+        "hstack", "column_space_basis", "span_intersection", "solve_columns",
+        "_vector_to_morphism",
         "el_hom_basis", "rep_hom_basis", "inspect", "to_matrix", "assemble",
         "_lift_isomorphism"}
     for _, m in made[ExactMatrix]:

@@ -7,6 +7,7 @@ import pytest
 import posetrep as pr
 from posetrep.linalg import ExactMatrix, span_contains
 from posetrep.reps import (
+    _splitting_idempotent,
     rep_end_dimension,
     split_trivial_columns,
     stacked_lower_blocks,
@@ -18,6 +19,7 @@ from conftest import (
     compose,
     direct_sum,
     el_morphism_satisfies,
+    local_by_enumeration,
     nilpotent_graph,
     random_element,
 )
@@ -241,18 +243,114 @@ def test_is_indecomposable(a3):
 
 
 def test_idempotent_search_past_the_basis_scan(a4):
-    """A local End of dimension 2: no basis element, sum or product splits
-    it, so over GF(p) the exhaustive stage decides, and it gives up past its
-    budget; over Q the search can only give up."""
-    for field in (F2, F3):
+    """A local End of dimension 2: no basis element splits it.  Over GF(p)
+    the enumeration of End decides, and gives up past its budget; over Q the
+    radical decides, End/J = Q, before any scan that budget bounds."""
+    for field in (F2, F3, pr.QQ):
         u = nilpotent_graph(a4, field)
         assert pr.is_indecomposable(u)
         assert len(pr.decompose(u).pieces) == 1
         assert rep_end_dimension(pr.rho(u)) == pr.end_dimension(u) == 2
+        if field.p:
+            with pytest.raises(pr.UndecidableAtBudget):
+                pr.is_indecomposable(u, budget=3)
+        else:
+            assert pr.is_indecomposable(u, budget=0)
+
+
+def companion_graph(a4, field, k, d):
+    """Four k-spaces in F^2k on the 4-antichain: the first and the last k
+    coordinates, the graph of the identity and the graph of the companion
+    matrix T of t^k - d.  End = F[T] = F[t]/(t^k - d): local exactly when
+    t^k - d is a power of an irreducible polynomial over F."""
+    def graph(m):
+        return [[int(i == j) for i in range(k)] + list(col) for j, col in enumerate(m)]
+
+    T = [[d if (j, i) == (k - 1, 0) else int(i == j + 1) for i in range(k)] for j in range(k)]
+    identity = [[int(i == j) for i in range(k)] for j in range(k)]
+    columns = {"w": graph([[0] * k] * k), "x": [[0] * k + c for c in identity],
+               "y": graph(identity), "z": graph(T)}
+    return pr.MatrixRep(a4, field, 2 * k, {a: from_columns(field, 2 * k, c)
+                                           for a, c in columns.items()})
+
+
+@pytest.mark.parametrize("k, d, field, pieces", [
+    (2, 2, pr.QQ, 1), (2, 2, F2, 1), (2, 2, F3, 1), (2, 2, pr.GF(5), 1), (2, 2, pr.GF(7), 2),
+    (2, -1, pr.QQ, 1), (2, -1, pr.GF(5), 2), (2, 4, pr.QQ, 2),
+    (3, 8, pr.QQ, 2), (3, 2, pr.QQ, None), (3, 2, F3, 1), (3, 2, pr.GF(5), 2),
+    (3, 2, pr.GF(7), 1),
+], ids=lambda x: x.label() if isinstance(x, pr.FieldSpec) else str(x))
+def test_end_decided_past_the_basis_scan(a4, k, d, field, pieces):
+    """End = F[t]/(t^k - d), which no basis element splits.  Over GF(p) the
+    enumeration of End decides: 2 is a square mod 7, -1 one mod 5, 3^3 = 2
+    mod 5, t^3 - 2 = (t + 1)^3 mod 3 and 2 is no cube mod 7.  Over Q the
+    radical quotient decides a quadratic: t^2 - 2 and t^2 + 1 are
+    irreducible, t^2 - 4 is not; and a rational eigenvalue splits t^3 - 8.
+    Q(2^(1/3)) is a field of dimension 3, which the Q decision leaves open."""
+    u = companion_graph(a4, field, k, d)
+    assert pr.end_dimension(u) == k
+    if field.p is None:  # the eigenvalue scan counts its candidates against budget
         with pytest.raises(pr.UndecidableAtBudget):
-            pr.is_indecomposable(u, budget=3)
-    with pytest.raises(pr.UndecidableAtBudget):
-        pr.is_indecomposable(nilpotent_graph(a4, pr.QQ))
+            pr.is_indecomposable(u, budget=2)
+    if pieces is None:
+        with pytest.raises(pr.UndecidableAtBudget):
+            pr.is_indecomposable(u)
+        return
+    assert pr.is_indecomposable(u) == (pieces == 1)
+    result = pr.decompose(u)
+    assert len(result.pieces) == pieces and not result.trivials
+    assert all(pr.is_indecomposable(piece) for piece in result.pieces)
+    assert pr.are_isomorphic(rebuilt(u), u) is not None
+
+
+@pytest.mark.parametrize("field", [pr.QQ, F3], ids=lambda f: f.label())
+def test_end_split_by_a_combination_of_its_basis(field):
+    """The lines <e0 + e1> and <e0 - e1> on a 2-antichain: End is spanned by
+    the swap and the identity, both invertible, and the idempotent is
+    (I + swap)/2, in neither basis element's Fitting decomposition."""
+    a2 = pr.build_poset(["x", "y"], [])
+    u = pr.MatrixRep(a2, field, 2, {"x": from_columns(field, 2, [[1, 1]]),
+                                    "y": from_columns(field, 2, [[1, -1]])})
+    swap = ExactMatrix.from_rows(field, [[0, 1], [1, 0]])
+    basis = {m.f for m in pr.rep_hom_basis(pr.rho(u), pr.rho(u))}
+    assert basis == {swap, ExactMatrix.identity(field, 2)}
+    assert not pr.is_indecomposable(u)
+    result = pr.decompose(u)
+    assert [pr.dimension_of(m) for m in result.pieces] == [
+        pr.DimensionVector(1, {"x": 1}), pr.DimensionVector(1, {"y": 1})]
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=lambda f: f.label())
+def test_locality_matches_enumeration(poset_catalog, a4, field):
+    """Over GF(p), End is local iff each of its elements is nilpotent or
+    invertible.  That oracle agrees with the idempotent search on 100 seeded
+    random elements per field: half on the catalog, half four random planes
+    in F^4, which often have a local End of dimension 2 or more.  A split
+    comes with a nontrivial idempotent endomorphism."""
+    rng = random.Random(20 + field.p)
+    small = [p for p in poset_catalog if len(p.elements) <= 4]
+    checked = local_past_one = 0
+    while checked < 100:
+        if checked % 2:
+            u = random_element(rng.choice(small), rng, field=field, d0max=3, colmax=2)
+        else:
+            u = pr.MatrixRep(a4, field, 4, {a: from_columns(field, 4, [
+                [rng.randrange(field.p) for _ in range(4)] for _ in range(2)])
+                for a in a4.elements})
+        v = pr.rho(u)
+        basis = [m.f for m in pr.rep_hom_basis(v, v)]
+        if field.p ** len(basis) > 3 ** 6:  # the oracle enumerates End
+            continue
+        checked += 1
+        e = _splitting_idempotent(v)
+        local = local_by_enumeration(basis, v.ambient_dim, field)
+        assert (e is None) == local
+        local_past_one += local and len(basis) > 1
+        if e is not None:
+            assert e @ e == e and not e.is_zero() and e != ExactMatrix.identity(field, e.rows)
+            assert all(span_contains(v.subspaces[a], e @ v.subspaces[a])
+                       for a in v.poset.elements)
+    assert local_past_one > 0
 
 
 def test_split_trivial_columns(a3):
@@ -355,9 +453,9 @@ def test_are_isomorphic_certificates_past_the_basis_scan(a3, a4, field):
         twice = direct_sum(plane_lines(a4, field, 2), plane_lines(a4, field, 2))
         isomorphic.append((twice, conjugate(rebuilt(twice), block_diag(g2, g2), {})))
     graph, ex = nilpotent_graph(a4, field), pr.antichain_unit_element(a4, field, ["x"])
-    if field.p:  # summands with a local End of dimension 2; over Q its search gives up
-        isomorphic += [(direct_sum(graph, ex), direct_sum(ex, graph)),
-                       (direct_sum(graph, graph), rebuilt(direct_sum(graph, graph)))]
+    # summands with a local End of dimension 2, which no basis element splits
+    isomorphic += [(direct_sum(graph, ex), direct_sum(ex, graph)),
+                   (direct_sum(graph, graph), rebuilt(direct_sum(graph, graph)))]
     for u, v in isomorphic:
         assert pr.dimension_of(u) == pr.dimension_of(v)
         assert not any(h.is_invertible() for h in pr.el_hom_basis(u, v))
@@ -375,8 +473,8 @@ def test_are_isomorphic_certificates_past_the_basis_scan(a3, a4, field):
                                            "y": from_columns(field, 2, [[1, 0]])})
     # z on w's line against z on y's; over Q two cross-ratios
     u, w = (plane_lines(a4, field, c) for c in ((2, 3) if field.p is None else (0, 1)))
-    # the trivial columns differ, so no idempotent search runs (over Q it
-    # could not decide the graph): w holds three independent columns
+    # the trivial columns differ, so no idempotent search runs: w holds
+    # three independent columns
     planes = ExactMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]])
     graph_w = pr.MatrixRep(a4, field, 4, {**graph.blocks, "w": planes})
     different = [(apart, together), (direct_sum(gap, e()), direct_sum(xx, e("x"))),

@@ -5,7 +5,7 @@ An API cut that drops one of them must fail here.  Also the source rules
 no test run shows: the Python floor pyproject.toml declares, the one
 lock that every memo table fills under, a cold() that empties every
 module-level memo table, checked constructors only at the boundary, and
-one seeded search."""
+no seeded search."""
 
 import argparse
 import ast
@@ -191,10 +191,18 @@ def test_checked_constructors_only_at_the_boundary():
     assert checked_constructions() == set(BOUNDARY)
 
 
-def test_one_seeded_search():
-    """random.Random is constructed once in src/, for the draws of the
-    idempotent search; no seeded search comes back into the isomorphism
-    decision, which is exact."""
-    seeded = [(module, ".".join(scope[:1])) for module, scope, call in scoped_calls()
-              if ast.unparse(call.func).rsplit(".", 1)[-1] == "Random"]
-    assert seeded == [("reps", "_find_splitting_idempotent")]
+def test_no_seeded_search():
+    """No decision in src/ draws at random: the idempotent search and the
+    isomorphism certificates are deterministic, so src/ imports no random
+    module and calls nothing random."""
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+    assert "random" not in imported
+    drawn = [(module, ".".join(scope)) for module, scope, call in scoped_calls()
+             if "random" in ast.unparse(call.func).lower()]
+    assert drawn == []
