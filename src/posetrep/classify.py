@@ -1,18 +1,19 @@
 """Classification and construction procedures, plus brute-force oracles.
 
 Isomorphism classes of representations with an exact dimension vector are
-counted on the fibre over the first element: the first element, of
-dimension k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}),
-the rest are enumerated in echelon order, and the orbits of the block
-triangular stabilizer of S_k are taken on arrays, one per GL(d0)-orbit; the
-first configuration of each orbit represents it, so the representatives
-depend on the support, d and p alone.  Each generator permutes the
-interned subspace ids through a lazily grown table, all configurations are
-moved at once, image rows are found by searching their bytes among the
-configurations' sorted bytes, and the orbits are the connected components
-of those moves.  A census is cached as a core of numbers and
-configurations: count_iso_classes, el_indecomposable_count and the
-verification harness's counts read the core, and only
+counted on the fibre over the first element: the first element, of dimension
+k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}), the rest
+are enumerated in echelon order, and the orbits of the block triangular
+stabilizer of S_k are taken on arrays, one per GL(d0)-orbit; the first
+configuration of each orbit represents it, so the representatives depend on
+the support, d and p alone.  Each generator permutes the interned subspace
+ids through a lazily grown table, all configurations are moved at once,
+image rows are found by searching their bytes among the configurations'
+sorted bytes, and the orbits are the connected components of those moves.  A
+census core of numbers and configurations is cached per canonical support,
+which is computed once per labelled support and weights, for every poset
+holding it.  count_iso_classes, el_indecomposable_count and the verification
+harness, which sweeps index-aligned tuples, read the core; only
 rep_iso_census and brute_force_indecomposables lift its indecomposables to
 elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
@@ -22,10 +23,10 @@ so _ROOTS keeps each built one per labelled support order, dimension and
 field, as its row count and blocks with no poset in them; every call wraps
 the blocks over the caller's own poset.
 
-The census caches, the spaces and their tables, the route tables and the
-built roots may be filled from several threads: each fills through
-poset.memo, so a hit is a lock-free read and a miss is built under the
-package's one lock, and the stabilizer tables grow under the same lock.
+The census caches and supports, the spaces and their tables, the route
+tables and the built roots may be filled from several threads: each fills
+through poset.memo, so a hit is a lock-free read and a miss is built under
+the package's one lock, and the stabilizer tables grow under the same lock.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ from .reps import (
     _padded_blocks,
     _splitting_idempotent,
 )
-from .tits import (
-    DimensionVector,
-    is_finite_type,
-    dominated_critical,
-    tits_value,
-)
+from .tits import DimensionVector, is_finite_type, tits_value, _dominated, _tits, _vector
 
 DEFAULT_ENUM_BUDGET = 1 << 24
 
@@ -348,6 +344,8 @@ class _CensusCore:
 
 
 _CENSUS_CACHE: dict[tuple, _CensusCore] = {}
+# The cores of zero rows: one class when the support is empty, none otherwise.
+_ZERO_ROWS = (_CensusCore(1, (), 0), _CensusCore(0, (), 0))
 
 
 def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _CensusCore:
@@ -374,26 +372,28 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
 
-def _canonical_support(poset: Poset, d: DimensionVector):
+def _canonical_support(poset: Poset, weights: tuple[int, ...]):
     """(canonical order, canonical relations, canonical values) of the support
-    weighted by d.
+    of weights, which has one entry per element of poset.
 
-    Memoized in poset._cache per weighted support, so every d0 over the same
-    weights shares one canonical_form call.  Only the order, the relation set
-    and the sorted (position label, value) items of the relabelled d are kept,
-    not the subposet itself.
+    Memoized in poset._cache per weights, keeping only the order, the relation
+    set and the sorted (position label, value) items; canonical_form's answer
+    is kept in _SUPPORTS per labelled support and weights, shared by all posets.
     """
-    weights = tuple(d.get(a) for a in poset.elements)
-    return memo(poset._cache, weights, _relabel_support, poset, d)
+    return memo(poset._cache, weights, _relabel_support, poset, weights)
 
 
-def _relabel_support(poset: Poset, d: DimensionVector):
-    sub = induced_subposet(poset, d.support())
-    _, order = canonical_form(sub, {a: d.get(a) for a in sub.elements})
+_SUPPORTS: dict[tuple, tuple] = {}
+
+
+def _relabel_support(poset: Poset, weights: tuple[int, ...]):
+    wt = {a: w for a, w in zip(poset.elements, weights) if w}
+    sub = induced_subposet(poset, wt)
+    key = (sub.elements, sub._lt, tuple(wt.values()))
+    _, order = memo(_SUPPORTS, key, canonical_form, sub, wt)
     pos = {a: i for i, a in enumerate(order)}
     rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
-    dc = DimensionVector(0, {str(i): d.get(a) for i, a in enumerate(order)})
-    return order, rels, dc.key()[1]
+    return order, rels, tuple(sorted((str(i), wt[a]) for i, a in enumerate(order)))
 
 
 def _cold_census(key: tuple, budget: int) -> _CensusCore:
@@ -407,24 +407,31 @@ def _cold_census(key: tuple, budget: int) -> _CensusCore:
 def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
                    budget: int | None) -> tuple[_CensusCore, tuple[str, ...]]:
     """The validated, cached census core of d, and the support order its
-    configurations are indexed by.
-
-    Every census entry point comes through here: the field must be a finite
-    prime field, every element of the support must belong to the poset and
-    no entry may be negative.  Censuses with d0 = 0 are answered without the
-    cache.  A cached core still raises BudgetExceeded when its enumeration
-    exceeds the caller's budget.
-    """
-    if not field.is_prime_field:
-        raise FieldTooRestrictive("class counting requires a finite prime field")
-    budget = resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+    configurations are indexed by.  Every public census entry point comes
+    through here: the field must be a finite prime field, every element of
+    the support must belong to the poset and no entry may be negative."""
+    budget = _census_budget(field, budget)
     for a in d.support():
         poset.check_element(a)
     _check_nonnegative(d)
-    if d.d0 == 0:
-        return _CensusCore(0 if d.support() else 1, (), 0), ()
-    order, rels, values = _canonical_support(poset, d)
-    key = (len(order), rels, (d.d0, values), field.p)
+    return _census_of(poset, _vector(poset, d), field.p, budget)
+
+
+def _census_budget(field: FieldSpec, budget: int | None) -> int:
+    if not field.is_prime_field:
+        raise FieldTooRestrictive("class counting requires a finite prime field")
+    return resolve_budget(budget, DEFAULT_ENUM_BUDGET)
+
+
+def _census_of(poset: Poset, vec: tuple[int, ...], p: int,
+               budget: int) -> tuple[_CensusCore, tuple[str, ...]]:
+    """The cached census core over GF(p) of the vector (d0, d(a) for a in
+    poset.elements), with no validation: d0 = 0 skips the cache, and a core
+    past budget raises BudgetExceeded."""
+    if vec[0] == 0:
+        return _ZERO_ROWS[any(vec)], ()
+    order, rels, values = _canonical_support(poset, vec[1:])
+    key = (len(order), rels, (vec[0], values), p)
     core = memo(_CENSUS_CACHE, key, _cold_census, key, budget)
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
@@ -529,7 +536,7 @@ def construct_indecomposable(poset: Poset, d: DimensionVector,
     _check_nonnegative(d)
     if not is_finite_type(poset, d):
         raise NotFiniteType(f"{d} dominates a critical dimension")
-    if tits_value(poset, d) != 1:
+    if _tits(poset, _vector(poset, d)) != 1:
         return None
     return _construct_root(poset, d, field)
 
@@ -611,17 +618,11 @@ class ClassificationReport:
     ok: bool
 
 
-def _all_dimensions(poset: Poset, max_total: int) -> Iterable[DimensionVector]:
-    slots = len(poset.elements) + 1
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == slots:
-            yield DimensionVector(acc[0], dict(zip(poset.elements, acc[1:])))
-            return
-        for v in range(remaining + 1):
-            yield from rec(i + 1, remaining - v, acc + [v])
-
-    yield from rec(0, max_total, [])
+def _all_vectors(slots: int, max_total: int) -> Iterable[tuple[int, ...]]:
+    """Every vector of slots entries >= 0 with sum <= max_total, in lexicographic
+    order: the gaps left by slots bars placed among max_total + slots places."""
+    for bars in itertools.combinations(range(max_total + slots), slots):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), bars))
 
 
 def verify_main_theorem(poset: Poset, max_total: int,
@@ -630,37 +631,42 @@ def verify_main_theorem(poset: Poset, max_total: int,
                         ) -> tuple[list[ClassificationReport], list[str]]:
     """Check the finite-type equivalences and uniqueness claims exhaustively.
 
-    For every dimension with |d| ≤ max_total: the scan criterion must agree
-    with the critical-dominance criterion; for finite-type d the class count
-    must be field independent, the indecomposable count must be 1 or 0
-    according to Q(d) = 1, and the unique indecomposable must have scalar
-    endomorphisms only (both at the representation and the element level).
+    For every dimension with |d| ≤ max_total, by (|d|, d.key()): the scan
+    criterion must agree with the critical-dominance criterion; for
+    finite-type d the class count must be field independent, the
+    indecomposable count must be 1 or 0 according to Q(d) = 1, and the unique
+    indecomposable must have scalar endomorphisms only (both at the
+    representation and the element level).
 
-    The scan criterion, Q > 0 on every nonzero d' ≤ d, is decided by
-    induction over the sweep: the dimensions form a down-set visited by
-    total, so it holds at d iff d = 0, or Q(d) > 0 and it holds at every
-    d − e_i with d_i > 0; it is compared with dominance at every d, and
-    budget bounds only the censuses.  One cached census core per field
-    serves the class and indecomposable counts; only the first field's
-    indecomposable of a root is lifted, for the endomorphism and
-    construction checks.  A negative max_total or an empty field list
-    raises ValidationError.
+    The sweep runs on the vectors (d0, d(a) for a in poset.elements), which
+    Q, dominance and the censuses read with no second check.  The scan
+    criterion, Q > 0 on every nonzero d' ≤ d, is decided by induction: the
+    sweep visits a down-set by total, so it holds at d iff d = 0, or Q(d) > 0
+    and it holds at every d − e_i with d_i > 0; budget bounds only the
+    censuses.  One cached census core per field serves both counts; only the
+    first field's indecomposable of a root is lifted, for the endomorphism
+    and construction checks.  A negative max_total or no field raises
+    ValidationError, and a field other than GF(p) raises FieldTooRestrictive.
     """
     fields = list(fields)
     if max_total < 0 or not fields:
         raise ValidationError("verification needs max_total >= 0 and at least one field")
+    for f in fields:
+        limit = _census_budget(f, budget)
+    elems = poset.elements
+    sweep = [(vec, DimensionVector._of(vec[0], {a: v for a, v in zip(elems, vec[1:]) if v}))
+             for vec in _all_vectors(len(elems) + 1, max_total)]
     positive: dict[tuple[int, ...], bool] = {}
     reports = []
     failures: list[str] = []
-    for d in sorted(_all_dimensions(poset, max_total), key=lambda v: (v.total(), v.key())):
+    for vec, d in sorted(sweep, key=lambda vd: (sum(vd[0]), vd[1].key())):
         notes = []
         ok = True
-        witness = dominated_critical(poset, d)
+        witness = _dominated(poset, vec)
         ft = witness is None
-        q = tits_value(poset, d)
+        q = _tits(poset, vec)
         root = q == 1
-        vec = (d.d0, *(d.get(a) for a in poset.elements))
-        scan = d.is_zero() or q > 0 and all(
+        scan = not any(vec) or q > 0 and all(
             positive[vec[:i] + (v - 1,) + vec[i + 1:]] for i, v in enumerate(vec) if v)
         positive[vec] = scan
         if scan != ft:
@@ -669,7 +675,7 @@ def verify_main_theorem(poset: Poset, max_total: int,
         cores: list[tuple[_CensusCore, tuple[str, ...]] | None] = []
         for f in fields:
             try:
-                cores.append(_census_lookup(poset, d, f, budget))
+                cores.append(_census_of(poset, vec, f.p, limit))
             except BudgetExceeded:
                 cores.append(None)
                 notes.append(f"census skipped over {f.label()}: budget")

@@ -227,19 +227,12 @@ def subordinate_dimensions(context: DerivedPoset,
         d0p = d.d0 - total
         if d0p < 0:
             continue
-        values = {}
-        ok = True
-        for b in delta_prime:
-            values[b] = d.get(b)
+        values = {b: d.get(b) for b in delta_prime}
         for b in theta:
-            v = d.get(b) - sum(
+            values[b] = d.get(b) - sum(
                 s for s, pm in zip(assignment, pairs) if b in pm.members
             )
-            if v < 0:
-                ok = False
-                break
-            values[b] = v
-        if not ok:
+        if any(values[b] < 0 for b in theta):
             continue
         for pm, s in zip(pairs, assignment):
             values[pm.label] = s

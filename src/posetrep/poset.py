@@ -40,15 +40,16 @@ def memo(table: dict, key, build, *args):
 
 class Poset(Value):
     """Finite strict partial order with its tables _down[a] and _up[a], the
-    frozensets of elements strictly below and strictly above a, and _cache,
-    its memo table of canonical supports keyed by their weights.
+    frozensets of elements strictly below and strictly above a, _pairs, the
+    relation as pairs of indices, and _cache, its memo table of canonical
+    supports keyed by their weights.
 
     The labels must be distinct strings and the pairs transitively closed
     (build_poset closes generating relations): a pair given with its reverse
     raises CycleDetected, and an unclosed relation raises ValidationError.
     """
 
-    __slots__ = ("elements", "_index", "_lt", "_down", "_up", "_cache")
+    __slots__ = ("elements", "_index", "_lt", "_pairs", "_down", "_up", "_cache")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
@@ -72,8 +73,10 @@ class Poset(Value):
                     "use build_poset to close generating relations")
 
     def _fill(self, elements: tuple[str, ...], lt: frozenset, down: dict, up: dict):
-        """The slots of labels, a closed acyclic relation and its cones."""
-        super()._fill(elements, {a: i for i, a in enumerate(elements)}, lt, down, up, {})
+        """The slots of labels and a closed acyclic relation with its pairs and cones."""
+        index = {a: i for i, a in enumerate(elements)}
+        pairs = tuple((index[a], index[b]) for a, b in lt)
+        super()._fill(elements, index, lt, pairs, down, up, {})
 
     def __eq__(self, other):
         return isinstance(other, Poset) and (self.elements, self._lt) == (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, UnknownElement, ValidationError
 from .linalg import resolve_budget
-from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings
+from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings, memo
 from .value import Value
 
 DEFAULT_SCAN_BUDGET = 10_000_000
@@ -53,9 +53,6 @@ class DimensionVector(Value):
     def total(self) -> int:
         return self.d0 + sum(self.values.values())
 
-    def is_zero(self) -> bool:
-        return self.d0 == 0 and not self.values
-
     def restrict(self, subset) -> "DimensionVector":
         subset = set(subset)
         return DimensionVector(self.d0, {a: v for a, v in self.values.items() if a in subset})
@@ -84,23 +81,30 @@ def tits_value(p: Poset, d: DimensionVector) -> int:
     """Q(d) = d0² + Σ_a d(a)² + Σ_{a≺b} d(a)d(b) − d0·Σ_a d(a), summed
     directly; it equals group_dimension − space_dimension."""
     _check_dimension(p, d)
-    q = d.d0 * d.d0
-    for x in d.values.values():
-        q += x * (x - d.d0)
-    for a, b in p.relation_pairs():
-        q += d.get(a) * d.get(b)
+    return _tits(p, _vector(p, d))
+
+
+def _tits(p: Poset, vec: tuple[int, ...]) -> int:
+    """Q of the vector (d0, d(a) for a in p.elements)."""
+    d0 = vec[0]
+    q = d0 * d0
+    for x in vec[1:]:
+        q += x * (x - d0)
+    for i, j in p._pairs:
+        q += vec[i + 1] * vec[j + 1]
     return q
+
+
+def _vector(p: Poset, d: DimensionVector) -> tuple[int, ...]:
+    """d as the vector (d0, d(a) for a in p.elements)."""
+    return (d.d0, *(d.values.get(a, 0) for a in p.elements))
 
 
 def group_dimension(p: Poset, d: DimensionVector) -> int:
     """d0² + Σ_a d(a)² + Σ_{a≺b} d(a)d(b): the base-change group dimension."""
     _check_dimension(p, d)
-    total = d.d0 * d.d0
-    for a in p.elements:
-        total += d.get(a) ** 2
-    for a, b in p.relation_pairs():
-        total += d.get(a) * d.get(b)
-    return total
+    vec = _vector(p, d)
+    return sum(x * x for x in vec) + sum(vec[i + 1] * vec[j + 1] for i, j in p._pairs)
 
 
 def space_dimension(p: Poset, d: DimensionVector) -> int:
@@ -150,13 +154,29 @@ def dominated_critical(
     placements consistent with the critical poset's automorphisms.
     """
     _check_dimension(p, d)
+    return _dominated(p, _vector(p, d))
+
+
+def _dominated(p: Poset, vec: tuple[int, ...]):
+    """The witness of the first embedding whose lower bounds vec meets."""
+    for c0, low, witness in memo(_BOUNDS, (p.elements, p._lt), _build_bounds, p):
+        if vec[0] >= c0 and all(vec[i] >= v for i, v in low):
+            return witness
+    return None
+
+
+# Per labelled order: each critical embedding's c0, its (position, lower bound)
+# pairs on (d_1, ..., d_n) and its witness, in critical_subposet_embeddings order.
+_BOUNDS: dict[tuple, tuple] = {}
+
+
+def _build_bounds(p: Poset) -> tuple:
+    out = []
     for emb in critical_subposet_embeddings(p):
         crit = _CRITICAL_BY_KIND[emb.kind]
-        if crit.c0 > d.d0:
-            continue
-        if all(v <= d.get(emb.image_map[x]) for x, v in crit.assignment.items()):
-            return crit, emb
-    return None
+        low = tuple((p._index[emb.image_map[x]] + 1, v) for x, v in crit.assignment.items())
+        out.append((crit.c0, low, (crit, emb)))
+    return tuple(out)
 
 
 def is_finite_type(p: Poset, d: DimensionVector) -> bool:
@@ -179,8 +199,7 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
     """
     _check_dimension(p, d)
     budget = resolve_budget(budget, DEFAULT_SCAN_BUDGET)
-    elems = p.elements
-    bounds = [d.d0] + [d.get(a) for a in elems]
+    bounds = _vector(p, d)
     if min(bounds) < 0:
         return True
     count = 1
@@ -199,7 +218,6 @@ def finite_type_scan(p: Poset, d: DimensionVector, budget: int | None = None) ->
     # column 0 of the box is the zero vector, every later column is nonzero
     x = np.indices([b + 1 for b in bounds], dtype=np.int64).reshape(len(bounds), -1)
     q = (x * x).sum(axis=0) - x[0] * x[1:].sum(axis=0)
-    idx = {a: i + 1 for i, a in enumerate(elems)}
-    for a, b in p.relation_pairs():
-        q += x[idx[a]] * x[idx[b]]
+    for i, j in p._pairs:
+        q += x[i + 1] * x[j + 1]
     return bool(np.all(q[1:] > 0))

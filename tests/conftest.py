@@ -3,6 +3,8 @@ order and morphism checks the tests make outside the library."""
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -11,11 +13,17 @@ import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep import classify
+from posetrep import classify, tits
 from posetrep import poset as poset_module
-from posetrep.classify import _all_dimensions as all_dimensions  # noqa: F401
 from posetrep.linalg import ExactMatrix, hstack
 from posetrep.poset import Poset, canonical_form, strict_lower_cone
+
+
+def all_dimensions(poset: Poset, max_total: int):
+    """Every dimension vector of poset with |d| <= max_total, in the
+    lexicographic order of (d0, d(a) for a in poset.elements)."""
+    for vec in classify._all_vectors(len(poset) + 1, max_total):
+        yield pr.DimensionVector(vec[0], dict(zip(poset.elements, vec[1:])))
 
 
 def all_posets_upto(n: int) -> list[Poset]:
@@ -235,9 +243,21 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
 def burnside_point_tuple_orbits(p: int, n: int, m: int) -> int:
     """Orbit count of GL_n(F_p) on m-tuples of points of P^{n-1}(F_p), by
     Burnside's lemma: the mean over the group of (fixed points)^m."""
+    fixed = fixed_point_counts(p, n)
+    order = sum(times for _, times in fixed)
+    total = sum(times * count ** m for count, times in fixed)
+    assert total % order == 0
+    return total // order
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_point_counts(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(number of fixed points, number of elements of GL_n(F_p) fixing that
+    many points of P^{n-1}(F_p)), in order: it depends on (p, n) alone, so
+    the group is walked once per (p, n) and every m reads the same counts."""
     vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     points = {frozenset(tuple(c * x % p for x in v) for c in range(1, p)) for v in vectors}
-    order = total = 0
+    counts = collections.Counter()
     for entries in itertools.product(range(p), repeat=n * n):
         g = [entries[i * n:(i + 1) * n] for i in range(n)]
         fixed = 0
@@ -248,10 +268,8 @@ def burnside_point_tuple_orbits(p: int, n: int, m: int) -> int:
                 break  # g kills a point, so g is singular
             fixed += gv in point
         else:
-            order += 1
-            total += fixed ** m
-    assert total % order == 0
-    return total // order
+            counts[fixed] += 1
+    return tuple(sorted(counts.items()))
 
 
 @pytest.fixture(scope="session")
@@ -280,16 +298,20 @@ def kposet():
 
 
 def cold():
-    """Empty every module-level memo table: the census caches, the shared
-    critical embeddings, the construction routes and the built roots, so the
+    """Empty every module-level memo table: the census caches, the canonical
+    supports shared by all posets, the shared critical embeddings and their
+    dominance bounds, the construction routes and the built roots, so the
     next census or construction is computed afresh.  The stabilizers and
-    their tables live on the spaces and go with them."""
+    their tables live on the spaces and go with them; each poset's own
+    _cache is not reached."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
     classify._DERIVED.clear()
     classify._SUBORDINATE_ROOTS.clear()
     classify._ROOTS.clear()
+    classify._SUPPORTS.clear()
     poset_module._EMBEDDINGS.clear()
+    tits._BOUNDS.clear()
 
 
 def positive_roots(p):

@@ -153,7 +153,8 @@ def enumerate_configs(poset, d, space):
 
 def canonical(poset, d):
     """The canonical support poset and dimension the census of d runs on."""
-    order, rels, values = classify._canonical_support(poset, d)
+    weights = tuple(d.get(a) for a in poset.elements)
+    order, rels, values = classify._canonical_support(poset, weights)
     canon = pr.Poset([str(i) for i in range(len(order))], rels)
     dc = pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
     assert dc.key() == (d.d0, values)  # the memoized values are the cache key's

@@ -1,6 +1,7 @@
 """Counting oracles, constructor, and the verification harness."""
 
 import collections
+import math
 
 import pytest
 
@@ -156,7 +157,8 @@ def test_construction_uses_no_census(a3, chain4, kposet, monkeypatch):
     def no_census(*args, **kwargs):
         raise AssertionError("construction reached a census")
 
-    for name in ("brute_force_indecomposables", "rep_iso_census", "_census_lookup"):
+    for name in ("brute_force_indecomposables", "rep_iso_census", "_census_lookup",
+                 "_census_of"):
         monkeypatch.setattr(classify, name, no_census)
     posets = (a3, chain4, pr.primitive_poset(1, 1, 2),
               pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c1"]))
@@ -302,11 +304,86 @@ def test_verify_chain_every_root_constructs(chain4):
 
 
 def test_verify_criterion_disagreement_fails_the_report(a3, a4, monkeypatch):
+    # verify decides dominance on its vectors through the kernel _dominated
     fake = pr.dominated_critical(a4, D(2, w=1, x=1, y=1, z=1))
-    monkeypatch.setattr(classify, "dominated_critical", lambda p, d: fake)
+    monkeypatch.setattr(classify, "_dominated", lambda p, vec: fake)
     reports, failures = pr.verify_main_theorem(a3, 1, [F2, F3])
     assert len(reports) == 5 and len(failures) == 5
     assert not any(r.ok for r in reports)
+
+
+def bounded_vectors(slots, total):
+    """Every vector of slots entries >= 0 with sum <= total."""
+    if not slots:
+        yield ()
+        return
+    for v in range(total + 1):
+        for rest in bounded_vectors(slots - 1, total - v):
+            yield (v, *rest)
+
+
+def test_verify_sweep_matches_public_calls(poset_catalog):
+    """The tuple sweep of verify_main_theorem against a reference loop over
+    the public calls: on every poset of the <= 5-point catalog at |d| <= 4,
+    the reports come in the order of (|d|, d.key()), and each carries the
+    witness of dominated_critical, the root flag of tits_value and the class
+    counts of count_iso_classes."""
+    fields = [F2]
+    checked = 0
+    for poset in poset_catalog:
+        reports, failures = pr.verify_main_theorem(poset, 4, fields)
+        assert failures == []
+        dims = [pr.DimensionVector(v[0], dict(zip(poset.elements, v[1:])))
+                for v in bounded_vectors(len(poset) + 1, 4)]
+        dims.sort(key=lambda d: (d.total(), d.key()))
+        assert [r.dimension.key() for r in reports] == [d.key() for d in dims]
+        for r, d in zip(reports, dims):
+            witness = pr.dominated_critical(poset, d)
+            assert r.witness == witness and r.finite_type == (witness is None)
+            assert r.is_root == (pr.tits_value(poset, d) == 1)
+            assert r.iso_class_counts == {f.label(): pr.count_iso_classes(poset, d, f)
+                                          for f in fields}
+            checked += 1
+    assert checked == sum(math.comb(len(p) + 5, 4) for p in poset_catalog) > 10_000
+
+
+def test_posets_share_canonical_supports(kposet, monkeypatch):
+    """Two 5-point subposets of K that differ in one point share the labelled
+    supports on the other four: verifying the second puts none of those in
+    canonical form again, and gives each the first poset's census key."""
+    cold()
+    calls = collections.Counter()
+    canonical_form = classify.canonical_form
+
+    def counting(sub, weights):
+        calls[sub.elements, sub._lt, tuple(weights[a] for a in sub.elements)] += 1
+        return canonical_form(sub, weights)
+
+    monkeypatch.setattr(classify, "canonical_form", counting)
+    first = pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c1"])
+    second = pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c2"])
+    try:
+        pr.verify_main_theorem(first, 5, [F2])
+        before = set(calls)
+        pr.verify_main_theorem(second, 5, [F2])
+    finally:
+        cold()
+    assert max(calls.values()) == 1
+    assert all("c2" in elements for elements, _, _ in set(calls) - before)
+    # weights on the shared points a1, a2, b1, b2 read the same on both posets
+    shared = [w for w in second._cache if w[-1] == 0 and any(w)]
+    assert len(shared) > 50
+    for w in shared:
+        assert w in first._cache and second._cache[w] == first._cache[w]
+    assert any(elements == ("a1", "a2", "b1", "b2") for elements, _, _ in before)
+
+
+def test_verify_rejects_a_field_that_is_not_prime(a3):
+    """verify checks its fields once, before the sweep: the rationals raise
+    wherever they stand in the list."""
+    for fields in ([F2, pr.QQ], [pr.QQ], [pr.QQ, F3]):
+        with pytest.raises(pr.FieldTooRestrictive):
+            pr.verify_main_theorem(a3, 2, fields)
 
 
 def test_verify_budget_bounds_only_the_censuses(a3):

@@ -135,6 +135,14 @@ def test_verify_cli_a3(tmp_path, capsys, a3_file):
     assert all(report["ok"] for report in out)
 
 
+def test_verify_cli_rejects_the_rationals(tmp_path, capsys, a3_file):
+    out = tmp_path / "out.json"
+    argv = ["verify", "--poset", a3_file, "--max-total", "2", "--fields", "2,Q", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: class counting requires a finite prime field\n"
+    assert not out.exists()
+
+
 def test_verify_cli_rejects_bad_field(capsys, a3_file):
     code = main(["verify", "--poset", a3_file, "--max-total", "1", "--fields", "2,x"])
     assert code == 2

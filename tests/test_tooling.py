@@ -127,8 +127,9 @@ def test_cold_empties_every_memo_table():
     an earlier test stored stands in for the patched call: cold() has to
     reach every table, and one construction and one census fill them all."""
     tables = module_memo_tables()
-    assert {name for _, name in tables} >= {"_SPACES", "_CENSUS_CACHE", "_EMBEDDINGS",
-                                            "_DERIVED", "_SUBORDINATE_ROOTS", "_ROOTS"}
+    assert {name for _, name in tables} >= {"_SPACES", "_CENSUS_CACHE", "_SUPPORTS",
+                                            "_EMBEDDINGS", "_BOUNDS", "_DERIVED",
+                                            "_SUBORDINATE_ROOTS", "_ROOTS"}
 
     def sizes():
         return {f"{mod}.{name}": len(getattr(importlib.import_module(mod), name))
