@@ -11,17 +11,18 @@ ids through a lazily grown table, all configurations are moved at once,
 image rows are found by searching their bytes among the configurations'
 sorted bytes, and the orbits are the connected components of those moves.  A
 census core of numbers and configurations is cached per canonical support,
-which is computed once per labelled support and weights, for every poset
-holding it.  count_iso_classes, el_indecomposable_count and the verification
-harness, which sweeps index-aligned tuples, read the core; only
-rep_iso_census and brute_force_indecomposables lift its indecomposables to
-elements.  Indecomposables of finite-type root dimensions are built by the
+computed once per labelled support (labels and below masks, read off the
+poset's) and weights for every poset holding it.  count_iso_classes,
+el_indecomposable_count and the verification harness, which sweeps
+index-aligned tuples, read the core; only rep_iso_census and
+brute_force_indecomposables lift its indecomposables to elements.
+Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
 roots of that route are kept per labelled order, shared by equal posets and
 by every field.  The main theorem makes the indecomposable of a root unique,
 so _ROOTS keeps each built one per labelled support order, dimension and
 field, as its row count and blocks with no poset in them; every call wraps
-the blocks over the caller's own poset.
+the blocks over its own poset, and only a miss builds the support poset.
 
 The census caches and supports, the spaces and their tables, the route
 tables and the built roots may be filled from several threads: each fills
@@ -48,8 +49,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref, _columns
-from .poset import (LOCK, Poset, canonical_form, induced_subposet, maximal_elements,
-                    memo, strict_lower_cone, _cones)
+from .poset import (LOCK, Poset, build_poset, canonical_form, induced_subposet,
+                    maximal_elements, memo, _restrict)
 from .reps import (
     MatrixRep,
     SubspaceRep,
@@ -231,12 +232,13 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     larger.  BudgetExceeded is raised as soon as the full count would pass
     the budget.
     """
-    elems = poset.elements
-    below = {a: poset.sorted_subset(strict_lower_cone(poset, a)) for a in elems}
-    order = sorted(elems, key=lambda a: (len(below[a]), poset.index(a)))
+    n_elems = len(poset)
+    below = [[j for j in range(n_elems) if mask >> j & 1] for mask in poset._below]
+    order = sorted(range(n_elems), key=lambda i: (len(below[i]), i))
     if not order:
         return [()], space.stabilizer(0), 1
-    k, n, p = d.get(order[0]), space.n, space.p
+    dims = [d.get(a) for a in poset.elements]
+    k, n, p = dims[order[0]], space.n, space.p
     if k > n:
         return [], space.stabilizer(0), 0
     firsts = math.prod(p ** (n - i) - 1 for i in range(k)) // \
@@ -244,25 +246,24 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     group = space.stabilizer(k)
     cap = budget // firsts
     out: list[tuple[int, ...]] = []
-    assignment = {order[0]: group.fixed}
+    assignment = [group.fixed] * n_elems
 
-    def rec(i: int):
-        if i == len(order):
-            out.append(tuple(assignment[a] for a in elems))
+    def rec(step: int):
+        if step == len(order):
+            out.append(tuple(assignment))
             if len(out) > cap:
                 raise BudgetExceeded(
                     f"configuration enumeration exceeds budget {budget}")
             return
-        a = order[i]
+        i = order[step]
         base = space.zero_id
-        for b in below[a]:
-            base = space.join(base, assignment[b])
-        if space.dim(base) + d.get(a) > space.n:
+        for j in below[i]:
+            base = space.join(base, assignment[j])
+        if space.dim(base) + dims[i] > space.n:
             return
-        for sid in space.supersets(base, d.get(a)):
-            assignment[a] = sid
-            rec(i + 1)
-            del assignment[a]
+        for sid in space.supersets(base, dims[i]):
+            assignment[i] = sid
+            rec(step + 1)
 
     rec(1)
     return out, group, firsts
@@ -376,9 +377,9 @@ def _canonical_support(poset: Poset, weights: tuple[int, ...]):
     """(canonical order, canonical relations, canonical values) of the support
     of weights, which has one entry per element of poset.
 
-    Memoized in poset._cache per weights, keeping only the order, the relation
-    set and the sorted (position label, value) items; canonical_form's answer
-    is kept in _SUPPORTS per labelled support and weights, shared by all posets.
+    Memoized in poset._cache per weights, and in _SUPPORTS per labelled support
+    (its labels, below masks and weights), shared by all posets: the key is
+    read off poset's masks, and the support poset is built only on a miss.
     """
     return memo(poset._cache, weights, _relabel_support, poset, weights)
 
@@ -387,20 +388,25 @@ _SUPPORTS: dict[tuple, tuple] = {}
 
 
 def _relabel_support(poset: Poset, weights: tuple[int, ...]):
-    wt = {a: w for a, w in zip(poset.elements, weights) if w}
-    sub = induced_subposet(poset, wt)
-    key = (sub.elements, sub._lt, tuple(wt.values()))
-    _, order = memo(_SUPPORTS, key, canonical_form, sub, wt)
-    pos = {a: i for i, a in enumerate(order)}
-    rels = frozenset((str(pos[a]), str(pos[b])) for a, b in sub.relation_pairs())
+    keep = [i for i, w in enumerate(weights) if w]
+    key = (tuple(poset.elements[i] for i in keep), _restrict(poset, keep),
+           tuple(weights[i] for i in keep))
+    return memo(_SUPPORTS, key, _canonical_relabelling, *key)
+
+
+def _canonical_relabelling(labels: tuple[str, ...], below: tuple[int, ...],
+                           weights: tuple[int, ...]):
+    sub, wt = Poset._of(labels, below), dict(zip(labels, weights))
+    _, order = canonical_form(sub, wt)
+    pos = {a: str(i) for i, a in enumerate(order)}
+    rels = frozenset((pos[a], pos[b]) for a, b in sub.relation_pairs())
     return order, rels, tuple(sorted((str(i), wt[a]) for i, a in enumerate(order)))
 
 
 def _cold_census(key: tuple, budget: int) -> _CensusCore:
     """The census core of a cache key, on the canonically labelled support."""
     n, rels, (d0, values), p = key
-    labels = tuple(str(i) for i in range(n))
-    canon = Poset._of(labels, rels, *_cones(labels, rels))
+    canon = build_poset([str(i) for i in range(n)], rels)
     return _census_core(canon, DimensionVector(d0, dict(values)), p, budget)
 
 
@@ -541,22 +547,23 @@ def construct_indecomposable(poset: Poset, d: DimensionVector,
     return _construct_root(poset, d, field)
 
 
-# One built root per labelled support order, dimension and field, as
-# (d0, blocks): no poset in it, so the table keeps no poset alive.
+# One built root per labelled support order (labels, below masks), dimension
+# and field, as (d0, blocks): no poset in it, so the table keeps no poset alive.
 _ROOTS: dict[tuple, tuple[int, dict[str, ExactMatrix]]] = {}
 
 
 def _construct_root(poset: Poset, d: DimensionVector, field: FieldSpec) -> MatrixRep:
-    """The indecomposable of the finite-type root d, built on its support."""
-    supp = poset.sorted_subset(d.support())
-    sub, dsub = induced_subposet(poset, supp), d.restrict(supp)
-    key = (sub.elements, sub._lt, dsub, field)
-    d0, blocks = memo(_ROOTS, key, _build_root, sub, dsub, field)
+    """The indecomposable of the finite-type root d, built on its support,
+    whose poset is built only when _ROOTS misses."""
+    keep = [i for i, a in enumerate(poset.elements) if a in d.values]
+    key = (tuple(poset.elements[i] for i in keep), _restrict(poset, keep), d, field)
+    d0, blocks = memo(_ROOTS, key, _build_root, *key)
     return MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, blocks))
 
 
-def _build_root(sub: Poset, d: DimensionVector, field: FieldSpec):
-    u = _construct_sincere(sub, d, field)
+def _build_root(labels: tuple[str, ...], below: tuple[int, ...], d: DimensionVector,
+                field: FieldSpec):
+    u = _construct_sincere(Poset._of(labels, below), d, field)
     return u.d0, u.blocks
 
 
@@ -589,7 +596,7 @@ def _construct_sincere(poset: Poset, d: DimensionVector, field: FieldSpec) -> Ma
         if any(d.get(a) != 1 for a in members):
             raise InvariantViolated(f"root {d} with one row has an entry above 1")
         return antichain_unit_element(poset, field, members)
-    order, maxes = (poset.elements, poset._lt), maximal_elements(poset)
+    order, maxes = (poset.elements, poset._below), maximal_elements(poset)
     for a in poset.elements:
         if a not in maxes:
             continue

@@ -20,14 +20,7 @@ from .linalg import (
     span_intersection,
     span_sum,
 )
-from .poset import (
-    Poset,
-    build_poset,
-    incomparables,
-    lower_cone,
-    maximal_elements,
-    strict_lower_cone,
-)
+from .poset import Poset, incomparables, strict_lower_cone
 from .reps import MatrixRep, SubspaceRep, dimension_of
 from .tits import DimensionVector
 
@@ -63,41 +56,39 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
     case the maximal member becomes p''.  A pair {b,c} is labelled "{b,c}",
     with ' appended until the label is not already taken.
     """
-    p.check_element(a)
-    maxes = maximal_elements(p)
-    if a not in maxes:
+    i = p.index(a)
+    if p._above[i]:
         raise NotMaximal(f"{a!r} is not maximal")
-    theta = p.sorted_subset(incomparables(p, a))
-    marks, taken = [], set(p.elements)
-    for b, c in itertools.combinations(theta, 2):
-        if p.comparable(b, c):
+    elems, below, above, n = p.elements, p._below, p._above, len(p)
+    theta = [j for j in range(n) if not (below[i] | above[i] | 1 << i) >> j & 1]
+    # the members of each element of the result, as a mask over p
+    marks, taken, members = [], set(elems), [1 << j for j in range(n) if j != i]
+    for j, k in itertools.combinations(theta, 2):
+        if (below[j] | above[j]) >> k & 1:
             continue
-        b_max, c_max = b in maxes, c in maxes
-        if b_max != c_max:
-            prime, second = (c, b) if b_max else (b, c)
-        else:
-            prime, second = b, c
+        b, c = elems[j], elems[k]
+        # p' is the smaller index, unless exactly one member is maximal
+        prime, second = (c, b) if not above[j] and above[k] else (b, c)
         label = pair_label(b, c)
         while label in taken:  # a pair adjoined by an earlier derivation
             label += "'"
         taken.add(label)
         marks.append(PairMark(label, (b, c), prime, second))
+        members.append(1 << j | 1 << k)
 
-    member_sets: dict[str, tuple[str, ...]] = {x: (x,) for x in p.elements if x != a}
-    provenance: dict[str, tuple] = {x: ("element", x) for x in p.elements if x != a}
+    provenance: dict[str, tuple] = {x: ("element", x) for x in elems if x != a}
     for pm in marks:
-        member_sets[pm.label] = pm.members
         provenance[pm.label] = ("pair", pm.members)
+    # B ≺ C when each member of B is at or below some member of C: on these
+    # member sets that order is transitive and antisymmetric, so it is closed
+    reach = [above[j] | 1 << j for j in range(n)]
 
-    elements = [x for x in p.elements if x != a] + [pm.label for pm in marks]
-    cones = {y: lower_cone(p, y) for y in p.elements}
+    def dominated(low: int, high: int) -> bool:
+        return all(reach[j] & high for j in range(n) if low >> j & 1)
 
-    def dominated(bs: tuple[str, ...], cs: tuple[str, ...]) -> bool:
-        return all(any(x in cones[y] for y in cs) for x in bs)
-
-    relations = [(B, C) for B in elements for C in elements
-                 if B != C and dominated(member_sets[B], member_sets[C])]
-    result = build_poset(elements, relations)
+    order = tuple(sum(1 << s for s, low in enumerate(members) if s != t and dominated(low, high))
+                  for t, high in enumerate(members))
+    result = Poset._of((*(x for x in elems if x != a), *(pm.label for pm in marks)), order)
     return DerivedPoset(p, a, tuple(marks), result, provenance)
 
 
@@ -169,19 +160,15 @@ def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:
             lead += w
         return ExactMatrix._of(field, D0 + new_rows, cols, tuple(map(tuple, old + new)))
 
-    delta_prime = strict_lower_cone(base, a)
-    theta = incomparables(base, a)
     blocks: dict[str, ExactMatrix] = {}
     for b in base.elements:
         if b == a:
-            flat = hstack([ExactMatrix.zeros(field, D0, 0)]
-                          + [v.blocks[x] for x in base.elements if x in delta_prime])
+            flat = hstack([ExactMatrix.zeros(field, D0, 0)] + [v.blocks[x] for x in base.below(a)])
             blocks[b] = assemble(complete_to_full_rank(flat), b)
-        elif b in delta_prime or b in theta:
-            blocks[b] = assemble(v.blocks[b], b)
-        else:
-            # comparable with a but not below: impossible for a maximal pivot
+        elif base.lt(a, b):  # impossible for a maximal pivot
             raise ValidationError(f"element {b!r} sits above the maximal pivot")
+        else:
+            blocks[b] = assemble(v.blocks[b], b)
     result = MatrixRep._of(base, field, D0 + new_rows, blocks)
     expected = dstar(dimension_of(v), context, blocks[a].cols)
     if dimension_of(result) != expected:
@@ -216,7 +203,7 @@ def subordinate_dimensions(context: DerivedPoset,
     feasibility window for the rank of the blocks below a.
     """
     p, a = context.base, context.pivot
-    delta_prime = p.sorted_subset(strict_lower_cone(p, a))
+    delta_prime = p.below(a)
     theta = p.sorted_subset(incomparables(p, a))
     pairs = list(context.pairs)
     da = d.get(a)

@@ -14,7 +14,7 @@ from .classify import ClassificationReport
 from .derivation import DerivedPoset, derive_poset
 from .errors import ValidationError
 from .linalg import QQ, ExactMatrix, FieldSpec, GF
-from .poset import Poset, build_poset, strict_lower_cone
+from .poset import Poset, build_poset
 from .reps import MatrixRep
 from .tits import DimensionVector
 
@@ -38,10 +38,8 @@ def _json_object(obj: dict, key: str) -> dict:
 
 
 def _covers(p: Poset) -> list[list[str]]:
-    below = {x: strict_lower_cone(p, x) for x in p.elements}
-    out = [[a, b] for a, b in p.relation_pairs() if not any(a in below[c] for c in below[b])]
-    out.sort(key=lambda ab: (p.index(ab[0]), p.index(ab[1])))
-    return out
+    """The pairs a ≺ b with nothing between them, in index order."""
+    return [[p.elements[i], p.elements[j]] for i, j in p._pairs if not p._above[i] & p._below[j]]
 
 
 def poset_to_json(p: Poset) -> dict:

@@ -1,12 +1,15 @@
 """Finite posets and the order combinatorics used by the classification.
 
-Elements are opaque string labels.  A poset owns its order: it stores each
-element's strict down-set and up-set, and every cone, comparability and
-maximality question in the package is answered from these tables.  Queries
-are pure, and a poset is immutable after construction.  The public Poset
-constructor checks its labels and relation.  build_poset checks and closes
-generating relations; it, induced_subposet and the census's canonical
-support build their posets through Poset._of, which trusts its order.
+Elements are opaque string labels at the boundary and indices inside.  A
+poset owns its order once, as int bitmasks over its element indices: _below[i]
+holds the elements strictly below elements[i], and _above and the sorted index
+pairs _pairs are derived from it.  Every cone, comparability and maximality
+question in the package is answered from these masks; the label views
+(relation_pairs, the cones, incomparables) decode them.  Queries are pure, and
+a poset is immutable after construction.  The public Poset constructor checks
+its labels and relation.  build_poset checks and closes generating relations;
+it, induced_subposet and the package's own derived posets and canonical
+supports build their posets through Poset._of, which trusts its masks.
 
 Every memo table in the package fills through memo(), under the one
 reentrant LOCK: a hit is one dict read, a miss builds and stores its value
@@ -39,17 +42,17 @@ def memo(table: dict, key, build, *args):
 
 
 class Poset(Value):
-    """Finite strict partial order with its tables _down[a] and _up[a], the
-    frozensets of elements strictly below and strictly above a, _pairs, the
-    relation as pairs of indices, and _cache, its memo table of canonical
-    supports keyed by their weights.
+    """Finite strict partial order.  _below[i] and _above[i] are the bitmasks
+    of the elements strictly below and strictly above elements[i], _pairs the
+    relation as sorted index pairs (i, j) with elements[i] ≺ elements[j], and
+    _cache its memo table of canonical supports keyed by their weights.
 
     The labels must be distinct strings and the pairs transitively closed
     (build_poset closes generating relations): a pair given with its reverse
     raises CycleDetected, and an unclosed relation raises ValidationError.
     """
 
-    __slots__ = ("elements", "_index", "_lt", "_pairs", "_down", "_up", "_cache")
+    __slots__ = ("elements", "_index", "_below", "_above", "_pairs", "_cache")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
@@ -58,6 +61,7 @@ class Poset(Value):
         if len(set(elements)) != len(elements):
             raise DuplicateLabel("element labels must be pairwise distinct")
         lt = frozenset(lt_pairs)
+        below = [0] * len(elements)
         for a, b in lt:
             if a not in elements or b not in elements:
                 raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
@@ -65,25 +69,32 @@ class Poset(Value):
                 raise CycleDetected(f"irreflexivity violated at {a}")
             if (b, a) in lt:
                 raise CycleDetected(f"cycle through {a} and {b}")
-        self._fill(elements, lt, *_cones(elements, lt))
+            below[elements.index(b)] |= 1 << elements.index(a)
+        self._fill(elements, tuple(below))
         for a, b in lt:
-            if not self._up[b] <= self._up[a]:
+            if self._above[self._index[b]] & ~self._above[self._index[a]]:
                 raise ValidationError(
                     f"relation is not transitively closed at ({a},{b}); "
                     "use build_poset to close generating relations")
 
-    def _fill(self, elements: tuple[str, ...], lt: frozenset, down: dict, up: dict):
-        """The slots of labels and a closed acyclic relation with its pairs and cones."""
-        index = {a: i for i, a in enumerate(elements)}
-        pairs = tuple((index[a], index[b]) for a, b in lt)
-        super()._fill(elements, index, lt, pairs, down, up, {})
+    def _fill(self, elements: tuple[str, ...], below: tuple[int, ...]):
+        """The slots of labels and the below masks of a closed acyclic relation."""
+        above, pairs = [0] * len(elements), []
+        for j, down in enumerate(below):
+            for i in range(down.bit_length()):
+                if down >> i & 1:
+                    above[i] |= 1 << j
+                    pairs.append((i, j))
+        pairs.sort()
+        super()._fill(elements, {a: i for i, a in enumerate(elements)}, below, tuple(above),
+                      tuple(pairs), {})
 
     def __eq__(self, other):
-        return isinstance(other, Poset) and (self.elements, self._lt) == (
-            other.elements, other._lt)
+        return isinstance(other, Poset) and (self.elements, self._below) == (
+            other.elements, other._below)
 
     def __hash__(self):
-        return hash((self.elements, self._lt))
+        return hash((self.elements, self._below))
 
     def __len__(self):
         return len(self.elements)
@@ -92,8 +103,8 @@ class Poset(Value):
         return a in self._index
 
     def __repr__(self):
-        rels = sorted(self._lt, key=lambda ab: (self._index[ab[0]], self._index[ab[1]]))
-        return f"Poset({list(self.elements)}, {rels})"
+        elems = self.elements
+        return f"Poset({list(elems)}, {[(elems[i], elems[j]) for i, j in self._pairs]})"
 
     def index(self, a: str) -> int:
         self.check_element(a)
@@ -104,22 +115,26 @@ class Poset(Value):
             raise UnknownElement(f"{a!r} is not an element of this poset")
 
     def lt(self, a: str, b: str) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return b in self._up[a]
+        return bool(self._above[self.index(a)] >> self.index(b) & 1)
 
     def le(self, a: str, b: str) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return a == b or b in self._up[a]
+        return self.lt(a, b) or a == b
 
     def comparable(self, a: str, b: str) -> bool:
-        self.check_element(a)
-        self.check_element(b)
-        return a == b or b in self._up[a] or b in self._down[a]
+        i, j = self.index(a), self.index(b)
+        return i == j or bool((self._below[i] | self._above[i]) >> j & 1)
 
     def relation_pairs(self) -> frozenset[tuple[str, str]]:
-        return self._lt
+        elems = self.elements
+        return frozenset((elems[i], elems[j]) for i, j in self._pairs)
+
+    def below(self, a: str) -> tuple[str, ...]:
+        """The elements strictly below a, in element order."""
+        return self._labels(self._below[self.index(a)])
+
+    def _labels(self, mask: int) -> tuple[str, ...]:
+        """The elements whose bits are set in mask, in element order."""
+        return tuple(a for i, a in enumerate(self.elements) if mask >> i & 1)
 
     def sorted_subset(self, subset: Iterable[str]) -> tuple[str, ...]:
         """Subset in element input order."""
@@ -137,46 +152,35 @@ def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> 
     elements = tuple(str(e) for e in elements)
     if len(set(elements)) != len(elements):
         raise DuplicateLabel("element labels must be pairwise distinct")
-    up: dict[str, set[str]] = {a: set() for a in elements}
+    index = {a: i for i, a in enumerate(elements)}
+    below = [0] * len(elements)
     for rel in relations:
         a, b = rel
-        if a not in up or b not in up:
+        if a not in index or b not in index:
             raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
         if a == b:
             raise CycleDetected(f"self-relation at {a}")
-        up[a].add(b)
-    # Warshall closure on up-sets; n stays tiny by the package's scope.
-    for k in elements:
-        for a in elements:
-            if k in up[a]:
-                up[a] |= up[k]
-    for a in elements:
-        if a in up[a]:
+        below[index[b]] |= 1 << index[a]
+    # Warshall closure on down-sets; n stays tiny by the package's scope.
+    for k in range(len(elements)):
+        for i, mask in enumerate(below):
+            if mask >> k & 1:
+                below[i] |= below[k]
+    for i, a in enumerate(elements):
+        if below[i] >> i & 1:
             raise CycleDetected(f"cycle through {a}")
-    lt = frozenset((a, b) for a in elements for b in up[a])
-    return Poset._of(elements, lt, *_cones(elements, lt))
-
-
-def _cones(elements: tuple[str, ...], lt: frozenset) -> tuple[dict, dict]:
-    """The strict down-set and up-set tables of the relation lt."""
-    down: dict[str, list[str]] = {a: [] for a in elements}
-    up: dict[str, list[str]] = {a: [] for a in elements}
-    for a, b in lt:
-        down[b].append(a)
-        up[a].append(b)
-    return {a: frozenset(s) for a, s in down.items()}, {a: frozenset(s) for a, s in up.items()}
+    return Poset._of(elements, tuple(below))
 
 
 # -- cone / comparability queries ------------------------------------------------
 
 
 def maximal_elements(p: Poset) -> set[str]:
-    return {a for a in p.elements if not p._up[a]}
+    return {a for a, above in zip(p.elements, p._above) if not above}
 
 
 def strict_lower_cone(p: Poset, a: str) -> frozenset[str]:
-    p.check_element(a)
-    return p._down[a]
+    return frozenset(p.below(a))
 
 
 def lower_cone(p: Poset, a: str) -> frozenset[str]:
@@ -184,8 +188,8 @@ def lower_cone(p: Poset, a: str) -> frozenset[str]:
 
 
 def incomparables(p: Poset, a: str) -> set[str]:
-    p.check_element(a)
-    return set(p.elements) - p._down[a] - p._up[a] - {a}
+    i = p.index(a)
+    return set(p._labels(~(p._below[i] | p._above[i] | 1 << i)))
 
 
 @dataclass(frozen=True)
@@ -198,35 +202,41 @@ class Antichain:
 
 def width(p: Poset) -> tuple[int, Antichain]:
     """Maximum antichain size with a witness, by exhaustive pruned search."""
-    best: list[str] = []
-    elems = p.elements
-    n = len(elems)
+    comparables = [below | above for below, above in zip(p._below, p._above)]
+    best: list[int] = []
+    n = len(p)
 
-    def extend(start: int, current: list[str]):
+    def extend(start: int, current: list[int], blocked: int):
+        """blocked: the elements comparable with some member of current."""
         nonlocal best
         if len(current) > len(best):
             best = list(current)
         for i in range(start, n):
             if len(current) + (n - i) <= len(best):
                 break
-            c = elems[i]
-            if all(not p.comparable(c, x) for x in current):
-                current.append(c)
-                extend(i + 1, current)
+            if not blocked >> i & 1:
+                current.append(i)
+                extend(i + 1, current, blocked | comparables[i])
                 current.pop()
 
-    extend(0, [])
-    return len(best), Antichain(frozenset(best))
+    extend(0, [], 0)
+    return len(best), Antichain(frozenset(p.elements[i] for i in best))
 
 
 def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
     """p's order on subset: a restriction of a valid order is valid, so it
     is not closed and re-checked."""
     members = p.sorted_subset(subset)
-    keep = frozenset(members)
-    return Poset._of(members, frozenset((a, b) for a in members for b in p._up[a] & keep),
-                     {a: p._down[a] & keep for a in members},
-                     {a: p._up[a] & keep for a in members})
+    return Poset._of(members, _restrict(p, [p._index[a] for a in members]))
+
+
+def _restrict(p: Poset, keep: Sequence[int]) -> tuple[int, ...]:
+    """The below masks of p's order on the elements at the ascending indices
+    keep, renumbered in that order."""
+    if len(keep) == len(p):
+        return p._below
+    return tuple(sum(1 << k for k, j in enumerate(keep) if p._below[i] >> j & 1)
+                 for i in keep)
 
 
 # -- critical posets ----------------------------------------------------------------
@@ -279,42 +289,41 @@ class CriticalEmbedding:
 
 def order_embeddings(pattern: Poset, host: Poset) -> list[dict[str, str]]:
     """All injective maps preserving and reflecting the strict order."""
-    pat = pattern.elements
-    pdown, pup, hdown, hup = pattern._down, pattern._up, host._down, host._up
+    pdown, pup, hdown, hup = pattern._below, pattern._above, host._below, host._above
+    m = len(pattern)
     # h can take x only if its cones are at least as large as x's
-    cands = {x: [h for h in host.elements if len(hdown[h]) >= len(pdown[x])
-                 and len(hup[h]) >= len(pup[x])] for x in pat}
+    cands = [[h for h in range(len(host)) if hdown[h].bit_count() >= pdown[x].bit_count()
+              and hup[h].bit_count() >= pup[x].bit_count()] for x in range(m)]
     out: list[dict[str, str]] = []
+    image: list[int] = []
 
-    def backtrack(i: int, assigned: dict[str, str], used: set[str]):
-        if i == len(pat):
-            out.append(dict(assigned))
+    def backtrack(used: int):
+        x = len(image)
+        if x == m:
+            out.append({pattern.elements[y]: host.elements[h] for y, h in enumerate(image)})
             return
-        x = pat[i]
+        # the images of the assigned elements below and above x, which h's
+        # cones must meet in exactly these
+        down = sum(1 << h for y, h in enumerate(image) if pdown[x] >> y & 1)
+        up = sum(1 << h for y, h in enumerate(image) if pup[x] >> y & 1)
         for h in cands[x]:
-            if h in used:
-                continue
-            below, above = hdown[h], hup[h]
-            if all((y in pdown[x]) == (hy in below) and (y in pup[x]) == (hy in above)
-                   for y, hy in assigned.items()):
-                assigned[x] = h
-                used.add(h)
-                backtrack(i + 1, assigned, used)
-                del assigned[x]
-                used.remove(h)
+            if not used >> h & 1 and hdown[h] & used == down and hup[h] & used == up:
+                image.append(h)
+                backtrack(used | 1 << h)
+                image.pop()
 
-    backtrack(0, {}, set())
+    backtrack(0)
     return out
 
 
-# One list per labelled order (elements, relation pairs), so equal posets share
+# One list per labelled order (elements, below masks), so equal posets share
 # one search.
 _EMBEDDINGS: dict[tuple, list[CriticalEmbedding]] = {}
 
 
 def critical_subposet_embeddings(p: Poset) -> list[CriticalEmbedding]:
     """Every embedding of every critical poset; empty iff p is representation finite."""
-    return memo(_EMBEDDINGS, (p.elements, p._lt), _search_critical_embeddings, p)
+    return memo(_EMBEDDINGS, (p.elements, p._below), _search_critical_embeddings, p)
 
 
 def _search_critical_embeddings(p: Poset) -> list[CriticalEmbedding]:
@@ -338,28 +347,23 @@ def is_semidecomposable(p: Poset):
     Deterministic first-found order: S3 over chain subsets by size then mask,
     then S1 by ascending bitmask over the remainder.
     """
-    elems = p.elements
-    n = len(elems)
-    chain_subsets = [frozenset()]
+    n = len(p)
+    comparables = [below | above for below, above in zip(p._below, p._above)]
+    chains = [0]
     for r in range(1, n + 1):
         for combo in itertools.combinations(range(n), r):
-            members = [elems[i] for i in combo]
-            if all(p.comparable(a, b) for a, b in itertools.combinations(members, 2)):
-                chain_subsets.append(frozenset(members))
-    for s3 in chain_subsets:
-        rest = [a for a in elems if a not in s3]
+            if all(comparables[i] >> j & 1 for i, j in itertools.combinations(combo, 2)):
+                chains.append(sum(1 << i for i in combo))
+    for s3 in chains:
+        rest = [i for i in range(n) if not s3 >> i & 1]
         m = len(rest)
         if m < 2:
             continue
         for mask in range(1, (1 << m) - 1):
-            s1 = [rest[i] for i in range(m) if mask >> i & 1]
-            s2 = [rest[i] for i in range(m) if not mask >> i & 1]
-            if all(b in p._down[a] for a in s1 for b in s2):
-                return (
-                    tuple(p.sorted_subset(s1)),
-                    tuple(p.sorted_subset(s2)),
-                    tuple(p.sorted_subset(s3)),
-                )
+            s1 = [i for k, i in enumerate(rest) if mask >> k & 1]
+            s2 = sum(1 << i for k, i in enumerate(rest) if not mask >> k & 1)
+            if all(p._below[i] & s2 == s2 for i in s1):
+                return p._labels(sum(1 << i for i in s1)), p._labels(s2), p._labels(s3)
     return None
 
 
@@ -374,37 +378,30 @@ def canonical_form(p: Poset, weights: Mapping[str, int] | None = None):
     keys.  Returns (key, order) where order lists the elements in canonical
     positions.
     """
-    elems = p.elements
-    n = len(elems)
-    wt = {a: (weights.get(a, 0) if weights else 0) for a in elems}
-
-    pairs = p.relation_pairs()
-    below, above = p._down, p._up
-    inv = {a: (wt[a], len(below[a]), len(above[a])) for a in elems}
+    n = len(p)
+    wt = [weights.get(a, 0) if weights else 0 for a in p.elements]
+    below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for i, j in p._pairs:
+        below[j].append(i)
+        above[i].append(j)
+    inv = [(wt[i], len(below[i]), len(above[i])) for i in range(n)]
     for _ in range(2):
-        inv = {
-            a: (
-                inv[a],
-                tuple(sorted(inv[b] for b in below[a])),
-                tuple(sorted(inv[b] for b in above[a])),
-            )
-            for a in elems
-        }
+        inv = [(inv[i], tuple(sorted(inv[j] for j in below[i])),
+                tuple(sorted(inv[j] for j in above[i]))) for i in range(n)]
 
     groups: dict = {}
-    for a in elems:
-        groups.setdefault(inv[a], []).append(a)
-    keys = sorted(groups)
-    slots: list[list[str]] = [groups[k] for k in keys]
+    for i in range(n):
+        groups.setdefault(inv[i], []).append(i)
+    slots = [groups[k] for k in sorted(groups)]
 
     best = None
     best_order = None
     for perm_parts in itertools.product(*(itertools.permutations(g) for g in slots)):
-        order = [a for part in perm_parts for a in part]
-        pos = {a: i for i, a in enumerate(order)}
-        rels = tuple(sorted((pos[a], pos[b]) for a, b in pairs))
-        key = (rels, tuple(wt[a] for a in order))
+        order = [i for part in perm_parts for i in part]
+        pos = {i: k for k, i in enumerate(order)}
+        key = (tuple(sorted((pos[i], pos[j]) for i, j in p._pairs)), tuple(wt[i] for i in order))
         if best is None or key < best:
             best = key
-            best_order = tuple(order)
-    return (n, best), best_order
+            best_order = order
+    return (n, best), tuple(p.elements[i] for i in best_order)

@@ -45,7 +45,7 @@ from .linalg import (
     _columns,
     _independent_columns,
 )
-from .poset import Poset, lower_cone, strict_lower_cone
+from .poset import Poset
 from .tits import DimensionVector
 from .value import Value
 
@@ -113,10 +113,10 @@ def dimension_of(u: MatrixRep) -> DimensionVector:
 
 def stacked_lower_blocks(u: MatrixRep, a: str, strict: bool = False) -> ExactMatrix:
     """The blocks M(b) for b ⪯ a (or b ≺ a) side by side, in element order."""
-    cone = strict_lower_cone(u.poset, a) if strict else lower_cone(u.poset, a)
-    mats = [ExactMatrix.zeros(u.field, u.d0, 0)]
-    mats += [u.blocks[b] for b in u.poset.elements if b in cone]
-    return hstack(mats)
+    p = u.poset
+    i = p.index(a)
+    cone = p._labels(p._below[i] if strict else p._below[i] | 1 << i)
+    return hstack([ExactMatrix.zeros(u.field, u.d0, 0)] + [u.blocks[b] for b in cone])
 
 
 class SubspaceRep(Value):
@@ -155,9 +155,8 @@ class SubspaceRep(Value):
         return self.subspace(a).cols
 
     def below_sum(self, a: str) -> ExactMatrix:
-        cone = strict_lower_cone(self.poset, a)
         mats = [ExactMatrix.zeros(self.field, self.ambient_dim, 0)]
-        mats += [self.subspaces[b] for b in self.poset.elements if b in cone]
+        mats += [self.subspaces[b] for b in self.poset.below(a)]
         return column_space_basis(hstack(mats))
 
     def dimension_vector(self) -> DimensionVector:
@@ -252,8 +251,7 @@ def _hom_slots(u: MatrixRep, v: MatrixRep):
     for a in p.elements:
         slots.append(("diag", a, v.cols(a), u.cols(a)))
     for a in p.elements:
-        slots += [("tri", (b, a), v.cols(b), u.cols(a))
-                  for b in p.sorted_subset(strict_lower_cone(p, a))]
+        slots += [("tri", (b, a), v.cols(b), u.cols(a)) for b in p.below(a)]
     offsets = {}
     total = 0
     for kind, key, r, c in slots:
@@ -287,8 +285,7 @@ def el_hom_basis(u: MatrixRep, v: MatrixRep) -> list[ElMorphism]:
         # each unknown occurs once per equation: +M(a) on phi0, -M'(b) on
         # phi(a) and on each phi(ba)
         targets = [(offsets[("diag", a)], v.blocks[a])]
-        targets += [(offsets[("tri", (b, a))], v.blocks[b])
-                    for b in p.sorted_subset(strict_lower_cone(p, a))]
+        targets += [(offsets[("tri", (b, a))], v.blocks[b]) for b in p.below(a)]
         for i in range(v.d0):
             for j in range(Ma.cols):
                 row = [zero] * total
@@ -522,7 +519,7 @@ def _identity_morphism(u: MatrixRep) -> ElMorphism:
         ExactMatrix.identity(field, u.d0),
         {a: ExactMatrix.identity(field, u.cols(a)) for a in p.elements},
         {(b, a): ExactMatrix.zeros(field, u.cols(b), u.cols(a))
-         for a in p.elements for b in p.sorted_subset(strict_lower_cone(p, a))},
+         for a in p.elements for b in p.below(a)},
     )
 
 
@@ -593,7 +590,7 @@ def _lift_isomorphism(u: MatrixRep, v: MatrixRep, f: ExactMatrix) -> ElMorphism:
             raise InvariantViolated("f does not carry rho(u) onto rho(v)")
         diag[a] = S + ExactMatrix._of(field, m_v.cols, m.cols, X.data[lower.cols:])
         row = 0
-        for b in p.sorted_subset(strict_lower_cone(p, a)):
+        for b in p.below(a):
             n = v.cols(b)
             tri[(b, a)] = ExactMatrix._of(field, n, m.cols, X.data[row:row + n])
             row += n

@@ -159,7 +159,7 @@ def dominated_critical(
 
 def _dominated(p: Poset, vec: tuple[int, ...]):
     """The witness of the first embedding whose lower bounds vec meets."""
-    for c0, low, witness in memo(_BOUNDS, (p.elements, p._lt), _build_bounds, p):
+    for c0, low, witness in memo(_BOUNDS, (p.elements, p._below), _build_bounds, p):
         if vec[0] >= c0 and all(vec[i] >= v for i, v in low):
             return witness
     return None

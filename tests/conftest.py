@@ -15,7 +15,7 @@ import pytest
 import posetrep as pr
 from posetrep import classify, tits
 from posetrep import poset as poset_module
-from posetrep.linalg import ExactMatrix, hstack
+from posetrep.linalg import ExactMatrix, hstack, span_sum
 from posetrep.poset import Poset, canonical_form, strict_lower_cone
 
 
@@ -214,7 +214,11 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
     matrix, keep those realizing d as a representation dimension, bucket them
     by are_isomorphic and keep the indecomposable classes.  Zero-row elements
     decompose into trivial summands, so at d0 = 0 the only indecomposable is a
-    single trivial element."""
+    single trivial element.
+
+    Isomorphic elements have isomorphic images under rho, so are_isomorphic
+    is called only between candidates with the same dimensions of V(a) and
+    V(a) + V(b) for all a, b, which also fix those of V(a) ∩ V(b)."""
     if d.d0 == 0:
         vals = dict(d.values)
         if sorted(vals.values()) == [1]:
@@ -223,6 +227,7 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
         return []
     total_cols = sum(d.get(a) for a in poset.elements)
     reps: list[pr.MatrixRep] = []
+    buckets: dict[tuple, list[pr.MatrixRep]] = {}
     for entries in itertools.product(range(field.p), repeat=d.d0 * total_cols):
         blocks = {}
         offset = 0
@@ -232,10 +237,15 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
             blocks[a] = pr.ExactMatrix(field, d.d0, c, rows)
             offset += d.d0 * c
         u = pr.MatrixRep(poset, field, d.d0, blocks)
-        if pr.rho(u).dimension_vector() != d:
+        v = pr.rho(u)
+        if v.dimension_vector() != d:
             continue
-        if any(pr.are_isomorphic(u, v) is not None for v in reps):
+        spans = [v.subspace(a) for a in poset.elements]
+        pairs = itertools.combinations_with_replacement(spans, 2)
+        bucket = buckets.setdefault(tuple(span_sum(x, y).cols for x, y in pairs), [])
+        if any(pr.are_isomorphic(u, w) is not None for w in bucket):
             continue
+        bucket.append(u)
         reps.append(u)
     return [u for u in reps if pr.is_indecomposable(u)]
 
@@ -315,10 +325,12 @@ def cold():
 
 
 def positive_roots(p):
-    """Every nonzero d ≥ 0 with Q(d) = 1, on a representation-finite poset p.
-    Q is then a weakly positive unit form, so each such d that is not a unit
-    vector stays a root after lowering some entry by one (Ringel, LNM 1099),
-    and adding unit vectors to the unit vectors reaches every one."""
+    """Every finite-type root of p: each nonzero d ≥ 0 with Q(d) = 1 that
+    dominates no critical dimension; on a representation-finite poset, every
+    positive root.  Q is positive on the box below such a d, so a d that is
+    not a unit vector stays a finite-type root after lowering some entry by
+    one (Ringel, LNM 1099), and adding unit vectors to the unit vectors
+    reaches every one."""
     def dim(v):
         return pr.DimensionVector(v[0], dict(zip(p.elements, v[1:])))
 
@@ -328,7 +340,7 @@ def positive_roots(p):
         v = todo.pop()
         for u in units:
             w = tuple(a + b for a, b in zip(v, u))
-            if w not in seen and pr.is_root(p, dim(w)):
+            if w not in seen and pr.is_root(p, dim(w)) and pr.is_finite_type(p, dim(w)):
                 seen.add(w)
                 todo.append(w)
     return [dim(v) for v in sorted(seen)]

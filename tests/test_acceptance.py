@@ -15,7 +15,6 @@ from posetrep.reps import rep_decompose, rep_end_dimension, stacked_lower_blocks
 
 from conftest import (
     all_dimensions,
-    all_posets_upto,
     burnside_point_tuple_orbits,
     random_element,
 )
@@ -102,11 +101,11 @@ def test_criterion_1_table_reproduction():
                  f"({elapsed * 1000:.2f} ms)")
 
 
-def test_criterion_2_scan_agrees_with_dominance():
+def test_criterion_2_scan_agrees_with_dominance(poset_catalog):
     t0 = time.time()
     mismatches = []
     pairs = 0
-    for poset in all_posets_upto(5):
+    for poset in poset_catalog:
         elems = poset.elements
         for d0 in range(5):
             for vals in itertools.product((0, 1, 2), repeat=len(elems)):

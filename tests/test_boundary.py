@@ -63,7 +63,8 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     monkeypatch.undo()
 
     callers = {cls: {name for name, _ in values} for cls, values in made.items()}
-    assert callers[Poset] >= {"build_poset", "induced_subposet", "_cold_census"}
+    assert callers[Poset] >= {"build_poset", "induced_subposet", "derive_poset",
+                              "_canonical_relabelling", "_build_root"}
     assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_census_core", "_lift_configs"}
     assert callers[MatrixRep] >= {"lift", "split_trivial_columns", "integrate",
                                   "_construct_root", "_lift_configs", "special_T",
@@ -83,9 +84,9 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
         assert list(v.subspaces) == list(v.poset.elements)
         assert v == SubspaceRep(v.poset, v.field, v.ambient_dim, v.subspaces)
     for _, q in made[Poset]:
-        checked = Poset(q.elements, q._lt)
-        assert (q.elements, q._index, q._lt, q._down, q._up) == (
-            checked.elements, checked._index, checked._lt, checked._down, checked._up)
+        checked = Poset(q.elements, q.relation_pairs())
+        assert (q.elements, q._index, q._below, q._above, q._pairs) == (
+            checked.elements, checked._index, checked._below, checked._above, checked._pairs)
 
 
 def test_public_constructors_still_check(a3):

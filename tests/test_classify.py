@@ -7,6 +7,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import classify
+from posetrep.poset import Poset
 
 from conftest import (all_dimensions, cold, form_on_box, matrix_indecomposables,
                       positive_roots)
@@ -184,12 +185,12 @@ def test_equal_posets_share_one_route(monkeypatch):
     derive, subordinates = classify.derive_poset, classify.subordinate_dimensions
 
     def counting_derive(p, a):
-        derived[p.elements, p._lt, a] += 1
+        derived[p.elements, p._below, a] += 1
         return derive(p, a)
 
     def counting_subordinates(context, d):
         base = context.base
-        subordinate[base.elements, base._lt, context.pivot, d] += 1
+        subordinate[base.elements, base._below, context.pivot, d] += 1
         return subordinates(context, d)
 
     monkeypatch.setattr(classify, "_DERIVED", {})
@@ -209,7 +210,7 @@ def test_equal_posets_share_one_route(monkeypatch):
 
     # the dual order has the same labels and the same maximal a1, but other
     # derived posets: a key without the order would hand it those of first
-    dual = pr.build_poset(first.elements, [(b, a) for a, b in first._lt])
+    dual = pr.build_poset(first.elements, [(b, a) for a, b in first.relation_pairs()])
     jobs = [(first, d, f) for d in roots for f in (pr.QQ, F2, F3)]
     jobs += [(dual, d, F2) for d in positive_roots(dual) if d.d0 > 1]
     built = [pr.construct_indecomposable(*job) for job in jobs]
@@ -232,7 +233,7 @@ def test_roots_built_once_per_support_order(monkeypatch):
     sincere = classify._construct_sincere
 
     def counting(poset, d, field):
-        built[poset.elements, poset._lt, d, field] += 1
+        built[poset.elements, poset._below, d, field] += 1
         return sincere(poset, d, field)
 
     monkeypatch.setattr(classify, "_construct_sincere", counting)
@@ -356,7 +357,7 @@ def test_posets_share_canonical_supports(kposet, monkeypatch):
     canonical_form = classify.canonical_form
 
     def counting(sub, weights):
-        calls[sub.elements, sub._lt, tuple(weights[a] for a in sub.elements)] += 1
+        calls[sub.elements, sub._below, tuple(weights[a] for a in sub.elements)] += 1
         return canonical_form(sub, weights)
 
     monkeypatch.setattr(classify, "canonical_form", counting)
@@ -376,6 +377,41 @@ def test_posets_share_canonical_supports(kposet, monkeypatch):
     for w in shared:
         assert w in first._cache and second._cache[w] == first._cache[w]
     assert any(elements == ("a1", "a2", "b1", "b2") for elements, _, _ in before)
+
+
+def test_cache_hits_build_no_poset(kposet, monkeypatch):
+    """The canonical support and root keys are read off the caller's order
+    masks: a support another poset already put in canonical form, and a root
+    built before, are found without building a Poset."""
+    cold()
+    first = pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c1"])
+    second = pr.induced_subposet(kposet, ["a1", "a2", "b1", "b2", "c2"])
+    weights = (1, 2, 1, 1, 0)  # on a1, a2, b1, b2 in both
+    p124 = pr.primitive_poset(1, 2, 4)
+    top = max(positive_roots(p124), key=lambda d: d.total())
+    support = classify._canonical_support(first, weights)
+    u = pr.construct_indecomposable(p124, top, F2)
+    assert weights not in second._cache
+    built = collections.Counter()
+    fill, restrict = Poset._fill, classify.induced_subposet
+
+    def counting_fill(self, *args):
+        built["Poset"] += 1
+        return fill(self, *args)
+
+    def counting_restrict(p, subset):
+        built["induced_subposet"] += 1
+        return restrict(p, subset)
+
+    with monkeypatch.context() as m:
+        m.setattr(Poset, "_fill", counting_fill)
+        m.setattr(classify, "induced_subposet", counting_restrict)
+        again = classify._canonical_support(second, weights)
+        w = pr.construct_indecomposable(p124, top, F2)
+    cold()
+    assert not built
+    assert again == support and weights in second._cache
+    assert w == u and w is not u
 
 
 def test_verify_rejects_a_field_that_is_not_prime(a3):
@@ -403,20 +439,68 @@ def test_every_finite_type_root_of_the_catalog(poset_catalog):
     """Every finite-type root of every poset with at most 5 points has one
     indecomposable with scalar endomorphisms, over GF(2), GF(3) and Q.
 
-    The roots are the finite-type vectors with Q = 1 in the box of entries
-    <= 6.  The bound is measured, not proved: the box of entries <= 8 finds
-    the same 1,464 roots, none with an entry above 3.  Every trusted
-    constructor along the construction route runs here.
+    The roots are those the ascent of positive_roots reaches, which finds
+    every one.  The finite-type vectors with Q = 1 in the box of entries
+    <= 6 are a second oracle, whose bound is measured, not proved: the two
+    find the same 1,464 roots.  Every trusted constructor along the
+    construction route runs here.
     """
-    roots = []
-    for p in poset_catalog:
+    roots = [(i, d) for i, p in enumerate(poset_catalog) for d in positive_roots(p)]
+    box = []
+    for i, p in enumerate(poset_catalog):
         x, q = form_on_box(p, 6)
         for v in x[q == 1].tolist():
             d = pr.DimensionVector(v[0], dict(zip(p.elements, v[1:])))
             if pr.is_finite_type(p, d):
-                roots.append((p, d))
-    assert len(roots) == 1464
+                box.append((i, d))
+    assert len(roots) == len(set(roots)) == 1464 and set(roots) == set(box)
+    roots = [(poset_catalog[i], d) for i, d in roots]
     for field in (F2, F3, pr.QQ):
         for p, d in roots:
             u = pr.construct_indecomposable(p, d, field)
             assert pr.dimension_of(u) == d and pr.end_dimension(u) == 1, (p, d, field)
+
+
+def root_partitions(roots):
+    """P(d), the number of multisets of the given roots that sum to the vector
+    d, by Euler's recurrence for multiset products:
+    |d|·P(d) = Σ_r |r| Σ_{k ≥ 1, k·r ≤ d} P(d − k·r), with P(0) = 1."""
+    table = {}
+
+    def count(d: tuple[int, ...]) -> int:
+        if not any(d):
+            return 1
+        if d not in table:
+            total = 0
+            for r in roots:
+                k = 1
+                while all(x >= k * y for x, y in zip(d, r)):
+                    total += sum(r) * count(tuple(x - k * y for x, y in zip(d, r)))
+                    k += 1
+            table[d] = total // sum(d)
+        return table[d]
+
+    return count
+
+
+def test_class_counts_are_root_partitions(poset_catalog):
+    """At a finite-type d with d0 >= 1, every summand of dimension r has
+    r <= d, so r is of finite type, and r0 >= 1.  By the main theorem each
+    finite-type root has one indecomposable and no other dimension has any,
+    so by Krull-Schmidt the classes of dimension d are the multisets of
+    finite-type roots r with r0 >= 1 that sum to d.  The census must count
+    exactly that many, over GF(2) and GF(3), on every poset of the catalog
+    at every such d with |d| <= 6.  This checks existence, uniqueness and the
+    finite-type criterion in one equation."""
+    checked = 0
+    for p in poset_catalog:
+        roots = [(d.d0, *(d.get(a) for a in p.elements)) for d in positive_roots(p)]
+        partitions = root_partitions([r for r in roots if r[0]])
+        for vec in classify._all_vectors(len(p) + 1, 6):
+            d = pr.DimensionVector(vec[0], dict(zip(p.elements, vec[1:])))
+            if vec[0] and pr.is_finite_type(p, d):
+                expected = partitions(vec)
+                for f in (F2, F3):
+                    assert pr.count_iso_classes(p, d, f) == expected, (p, d, f.label())
+                checked += 1
+    assert checked == 33_887

@@ -180,9 +180,10 @@ def test_induced_subposet_restricts_tables(kposet, poset_catalog):
         for r in range(len(p) + 1):
             for sub in itertools.combinations(p.elements, r):
                 q = pr.induced_subposet(p, reversed(sub))
-                full = Poset(sub, [(a, b) for a, b in p._lt if a in sub and b in sub])
-                assert (q.elements, q._lt, q._down, q._up, q._index) == \
-                    (full.elements, full._lt, full._down, full._up, full._index)
+                full = Poset(sub, [(a, b) for a, b in p.relation_pairs()
+                                   if a in sub and b in sub])
+                assert (q.elements, q._below, q._above, q._pairs, q._index) == \
+                    (full.elements, full._below, full._above, full._pairs, full._index)
                 assert q == full and hash(q) == hash(full) and q._cache == {}
                 checked += 1
     assert checked == 256 + sum(2 ** len(p) for p in poset_catalog)
@@ -289,7 +290,7 @@ def test_equal_posets_share_one_embedding_search(monkeypatch):
     search = poset_module.order_embeddings
 
     def counting(pattern, host):
-        searches[pattern.elements, pattern._lt, host.elements, host._lt] += 1
+        searches[pattern.elements, pattern._below, host.elements, host._below] += 1
         return search(pattern, host)
 
     monkeypatch.setattr(poset_module, "_EMBEDDINGS", {})
