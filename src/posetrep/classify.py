@@ -2,32 +2,30 @@
 
 Isomorphism classes of representations with an exact dimension vector are
 counted on the fibre over the first element: the first element, of dimension
-k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}), the rest
-are enumerated in echelon order, and the orbits of the block triangular
-stabilizer of S_k are taken on arrays, one per GL(d0)-orbit; the first
-configuration of each orbit represents it, so the representatives depend on
-the support, d and p alone.  Each generator permutes the interned subspace
-ids through a lazily grown table, all configurations are moved at once,
-image rows are found by searching their bytes among the configurations'
-sorted bytes, and the orbits are the connected components of those moves.  A
-census core of numbers and configurations is cached per canonical support,
-computed once per labelled support (labels and below masks, read off the
-poset's) and weights for every poset holding it.  count_iso_classes,
-el_indecomposable_count and the verification harness, which sweeps
-index-aligned tuples, read the core; only rep_iso_census and
-brute_force_indecomposables lift its indecomposables to elements.
-Indecomposables of finite-type root dimensions are built by the
+k, is fixed to the coordinate span S_k = span(e_0, ..., e_{k-1}), the rest are
+enumerated in echelon order, and the orbits of the block triangular stabilizer
+of S_k are walked, one per GL(d0)-orbit; the first configuration of each orbit
+represents it, so the representatives depend on the support, d and p alone.
+Each generator permutes the interned subspace ids through a lazily filled
+table, and each orbit is walked from its first configuration by applying every
+generator to every configuration reached.  A census core of numbers and
+configurations is cached per canonical support, computed once per labelled
+support (labels and below masks, read off the poset's) and weights for every
+poset holding it.  count_iso_classes, el_indecomposable_count and the
+verification harness, which sweeps index-aligned tuples, read the core; only
+rep_iso_census and brute_force_indecomposables lift its indecomposables to
+elements.  Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
-roots of that route are kept per labelled order, shared by equal posets and
-by every field.  The main theorem makes the indecomposable of a root unique,
-so _ROOTS keeps each built one per labelled support order, dimension and
-field, as its row count and blocks with no poset in them; every call wraps
-the blocks over its own poset, and only a miss builds the support poset.
+roots of that route are kept per labelled order, shared by equal posets and by
+every field.  The main theorem makes the indecomposable of a root unique, so
+_ROOTS keeps each built one per labelled support order, dimension and field,
+as its row count and blocks with no poset in them; every call wraps the blocks
+over its own poset, and only a miss builds the support poset.
 
 The census caches and supports, the spaces and their tables, the route
 tables and the built roots may be filled from several threads: each fills
 through poset.memo, so a hit is a lock-free read and a miss is built under
-the package's one lock, and the stabilizer tables grow under the same lock.
+the package's one lock, and the stabilizer tables fill under the same lock.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .derivation import DerivedPoset, derive_poset, integrate, subordinate_dimensions
 from .errors import (
@@ -168,10 +164,9 @@ class _Stabilizer:
     It is the block upper triangular group, generated by the elementary
     column operations (i, j, c), x_i += c x_j on row vectors, with i < k or
     j >= k, and, when p > 2, by scaling x_0 and x_k by a primitive root; with
-    k = 0 or k = n it is GL_n(F_p).  fixed is the id of S_k.  The actions are
-    kept as one table over the subspace ids, row g holding the image of each
-    id under generator g (-1 where not yet computed), grown under the package
-    lock.
+    k = 0 or k = n it is GL_n(F_p).  fixed is the id of S_k.  Generator g
+    acts through its own table, {sid: image id}, filled under the package
+    lock for the ids a census needs.
     """
 
     def __init__(self, space: SubspaceSpace, k: int):
@@ -182,7 +177,7 @@ class _Stabilizer:
                            if i != j and (i < k or j >= k)]
         if p > 2:
             self.generators += [(m, m, _primitive_root(p) - 1) for m in sorted({0, k}) if m < n]
-        self._table = np.full((len(self.generators), 0), -1, dtype=np.int64)
+        self._images: list[dict[int, int]] = [{} for _ in self.generators]
 
     def apply(self, g: int, sid: int) -> int:
         """The id of generator g applied to subspace sid: c row[j] added to
@@ -192,23 +187,14 @@ class _Stabilizer:
         return self.space._intern_span(row[:i] + ((row[i] + c * row[j]) % p,) + row[i + 1:]
                                        for row in self.space.basis_rows(sid))
 
-    def table(self, ids: np.ndarray) -> np.ndarray:
-        """The (generators, ·) image table, filled in at least for the ids in
-        the given array: table[g, s] is the id of generator g applied to s."""
+    def images(self, ids: Iterable[int]) -> list[dict[int, int]]:
+        """The generators' tables, filled in at least for the given ids."""
         with LOCK:
-            table = self._table
-            need = int(ids.max()) + 1
-            if table.shape[1] < need:
-                grown = np.full((len(table), max(need, 2 * table.shape[1])),
-                                -1, dtype=np.int64)
-                grown[:, :table.shape[1]] = table
-                self._table = table = grown
-            if len(table):
-                wanted = np.zeros(table.shape[1], dtype=bool)
-                wanted[ids] = True
-                for sid in np.flatnonzero(wanted & (table[0] < 0)).tolist():
-                    table[:, sid] = [self.apply(g, sid) for g in range(len(table))]
-            return table
+            for sid in ids:
+                for g, table in enumerate(self._images):
+                    if sid not in table:
+                        table[sid] = self.apply(g, sid)
+            return self._images
 
 
 _SPACES: dict[tuple[int, int], SubspaceSpace] = {}
@@ -269,61 +255,39 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     return out, group, firsts
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row of a 2-d integer array: the row's bytes.  Keys are
-    equal exactly when the rows are; they sort, and searchsorted finds them,
-    in byte order, not numeric order."""
-    rows = np.ascontiguousarray(rows, np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1)
-
-
-def _orbit_minima(moves: np.ndarray) -> np.ndarray:
-    """The least index in each configuration's orbit.
-
-    moves[g] is the permutation of configuration indices by generator g.
-    Every label is an index in its own orbit; each round lowers it to the
-    least label among its neighbours under the generators and their
-    inverses, then jumps pointers, until nothing changes.
-    """
-    label = np.arange(moves.shape[1])
-    while True:
-        new = label.copy()
-        for move in moves:
-            np.minimum(new, label[move], out=new)
-            new[move] = np.minimum(new[move], label)
-        jumped = new[new]
-        while not np.array_equal(jumped, new):
-            new, jumped = jumped, jumped[jumped]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def _orbit_representatives(configs: list[tuple[int, ...]],
                            group: _Stabilizer) -> list[tuple[int, ...]]:
     """One representative per orbit of the group: the first configuration of
     each orbit, in enumeration order.
 
-    Raises InvariantViolated when a generator moves a configuration out of
-    the set, which the enumeration of an exact dimension rules out.
+    Each configuration not yet seen starts a walk that applies every
+    generator to every configuration it reaches; the generators of a finite
+    group reach the whole orbit, so no inverse is needed.  Raises
+    InvariantViolated when a generator moves a configuration out of the set,
+    which the enumeration of an exact dimension rules out.
     """
-    n = len(configs)
-    if n <= 1:
+    if len(configs) <= 1:
         return list(configs)
-    cfg = np.array(configs, dtype=np.int64)
-    table = group.table(cfg)
-    keys = _row_keys(cfg)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    moves = np.empty((len(table), n), dtype=np.int64)
-    for g, image in enumerate(table):
-        moved = _row_keys(image[cfg])
-        pos = np.minimum(np.searchsorted(ordered, moved), n - 1)
-        moves[g] = np.where(ordered[pos] == moved, order[pos], -1)
-    if (moves < 0).any():
-        raise InvariantViolated("a generator moved a configuration out of the set")
-    label = _orbit_minima(moves)
-    return [configs[i] for i in np.flatnonzero(label == np.arange(n)).tolist()]
+    members = set(configs)
+    gets = [table.__getitem__ for table in group.images({sid for cfg in configs for sid in cfg})]
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for cfg in configs:
+        if cfg in seen:
+            continue
+        reps.append(cfg)
+        seen.add(cfg)
+        stack = [cfg]
+        while stack:
+            current = stack.pop()
+            for get in gets:
+                moved = tuple(map(get, current))
+                if moved not in seen:
+                    if moved not in members:
+                        raise InvariantViolated("a generator moved a configuration out of the set")
+                    seen.add(moved)
+                    stack.append(moved)
+    return reps
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,9 @@ def poset_from_json(obj) -> Poset:
         raise ValidationError("poset elements must be a list of strings")
     if "0" in elements:
         raise ValidationError('the label "0" is reserved for the ambient dimension')
-    if not isinstance(relations, list) or not all(
-        isinstance(r, (list, tuple)) and len(r) == 2 and all(isinstance(x, str) for x in r)
-        for r in relations
-    ):
+    if not isinstance(relations, list):
         raise ValidationError("poset relations must be a list of [a, b] string pairs")
-    return build_poset(elements, [tuple(r) for r in relations])
+    return build_poset(elements, relations)
 
 
 # -- dimension vectors ----------------------------------------------------------
@@ -129,10 +126,7 @@ def _entry_from_json(x, f: FieldSpec):
     """An integer or an "a/b" string, coerced into f."""
     if (isinstance(x, int) and not isinstance(x, bool)) or (
             isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        try:
-            return f.coerce(x)
-        except ZeroDivisionError:
-            pass
+        return f.coerce(x)
     raise ValidationError(f"matrix entry {x!r} must be an integer or an 'a/b' string")
 
 

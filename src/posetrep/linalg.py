@@ -77,18 +77,22 @@ class FieldSpec:
         return 1 if self.kind == "gf" else Fraction(1)
 
     def coerce(self, x):
-        """Normalize an int / Fraction / "a/b" string into this field.  A
-        float or a bool is no exact entry and raises ValidationError."""
-        if isinstance(x, (bool, float)):
-            raise ValidationError(f"{x!r} is not an exact entry of {self.label()}")
-        if self.kind != "gf":
-            return Fraction(x)
-        if type(x) is int:
+        """Normalize an int / Fraction / "a/b" string into this field.  Any
+        other value, a float or a bool among them, and a zero denominator are
+        no exact entry and raise ValidationError."""
+        if self.kind == "gf" and type(x) is int:
             return x % self.p
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise ValidationError(f"{x} has no image in GF({self.p})")
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        try:
+            if isinstance(x, (bool, float)):
+                raise TypeError
+            q = Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValidationError(f"{x!r} is not an exact entry of {self.label()}") from None
+        if self.kind != "gf":
+            return q
+        if q.denominator % self.p == 0:
+            raise ValidationError(f"{q} has no image in GF({self.p})")
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def is_entry(self, x) -> bool:
         """An int in [0, p) over GF(p); an int or a Fraction over Q."""

@@ -60,7 +60,7 @@ class Poset(Value):
             raise ValidationError(f"element labels must be strings, got {list(elements)}")
         if len(set(elements)) != len(elements):
             raise DuplicateLabel("element labels must be pairwise distinct")
-        lt = frozenset(lt_pairs)
+        lt = frozenset(map(_relation, lt_pairs))
         below = [0] * len(elements)
         for a, b in lt:
             if a not in elements or b not in elements:
@@ -144,6 +144,14 @@ class Poset(Value):
         return tuple(a for a in self.elements if a in subset)
 
 
+def _relation(rel) -> tuple[str, str]:
+    """(a, b), meaning a ≺ b, from a list or tuple of two string labels."""
+    if not (isinstance(rel, (list, tuple)) and len(rel) == 2
+            and all(isinstance(x, str) for x in rel)):
+        raise ValidationError(f"relation {rel!r} must be a pair of string labels")
+    return tuple(rel)
+
+
 def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> Poset:
     """Build a poset from labels and generating relations (a, b) meaning a ≺ b.
 
@@ -154,8 +162,7 @@ def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> 
         raise DuplicateLabel("element labels must be pairwise distinct")
     index = {a: i for i, a in enumerate(elements)}
     below = [0] * len(elements)
-    for rel in relations:
-        a, b = rel
+    for a, b in map(_relation, relations):
         if a not in index or b not in index:
             raise UnknownElement(f"relation ({a},{b}) uses unknown labels")
         if a == b:

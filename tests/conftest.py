@@ -216,9 +216,11 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
     decompose into trivial summands, so at d0 = 0 the only indecomposable is a
     single trivial element.
 
+    Every candidate realizes d, so it has no trivial column and is isomorphic
+    to lift(rho(u)): a candidate whose rho(u) was seen before is skipped.
     Isomorphic elements have isomorphic images under rho, so are_isomorphic
-    is called only between candidates with the same dimensions of V(a) and
-    V(a) + V(b) for all a, b, which also fix those of V(a) ∩ V(b)."""
+    is called only between distinct images with the same dimensions of V(a)
+    and V(a) + V(b) for all a, b, which also fix those of V(a) ∩ V(b)."""
     if d.d0 == 0:
         vals = dict(d.values)
         if sorted(vals.values()) == [1]:
@@ -228,6 +230,7 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
     total_cols = sum(d.get(a) for a in poset.elements)
     reps: list[pr.MatrixRep] = []
     buckets: dict[tuple, list[pr.MatrixRep]] = {}
+    images: set[pr.SubspaceRep] = set()
     for entries in itertools.product(range(field.p), repeat=d.d0 * total_cols):
         blocks = {}
         offset = 0
@@ -238,8 +241,9 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
             offset += d.d0 * c
         u = pr.MatrixRep(poset, field, d.d0, blocks)
         v = pr.rho(u)
-        if v.dimension_vector() != d:
+        if v.dimension_vector() != d or v in images:
             continue
+        images.add(v)
         spans = [v.subspace(a) for a in poset.elements]
         pairs = itertools.combinations_with_replacement(spans, 2)
         bucket = buckets.setdefault(tuple(span_sum(x, y).cols for x, y in pairs), [])

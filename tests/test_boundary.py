@@ -126,10 +126,15 @@ def test_public_constructors_still_check(a3):
         (pr.CycleDetected, lambda: Poset(["a"], [("a", "a")])),
         (pr.CycleDetected, lambda: Poset(["a", "b"], [("a", "b"), ("b", "a")])),
         (pr.ValidationError, lambda: Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])),
+        (pr.ValidationError, lambda: Poset(["a", "b"], [("a", "b", "c")])),
+        (pr.ValidationError, lambda: pr.build_poset(["a", "b"], [("a",)])),
+        (pr.ValidationError, lambda: Poset(["a", "b"], ["ab"])),
     ]
     for error, build in malformed:
         with pytest.raises(error):
             build()
+    # a relation is a list or a tuple of two labels, in Poset as in build_poset
+    assert Poset(["a", "b"], [["a", "b"]]) == pr.build_poset(["a", "b"], [["a", "b"]]) == chain
     # the checked constructors canonicalize and fill in what the caller left out
     v = SubspaceRep(a3, F2, 2, {"x": ExactMatrix.from_rows(F2, [[1, 1], [0, 1]])})
     assert v.subspace("x") == ExactMatrix.identity(F2, 2) and v.dim("y") == 0

@@ -395,43 +395,6 @@ def test_census_independent_of_interning_history(a3, a4):
         cold()
 
 
-def test_row_keys_exact_past_int64():
-    rng = np.random.default_rng(7)
-    base = rng.integers(0, 1 << 40, size=(100, 12))
-    rows = base[rng.integers(0, len(base), size=400)]
-    rows[::7, 5] += 1
-    radix = np.prod([len(np.unique(c)) for c in rows.T], dtype=object)
-    assert radix > 1 << 63
-    keys = classify._row_keys(rows)
-    assert keys.shape == (len(rows),)
-    _, expected = np.unique(rows, axis=0, return_inverse=True)
-    _, got = np.unique(keys, return_inverse=True)
-    # the same partition of the rows: keys are equal exactly when rows are
-    classes = set(zip(got.tolist(), expected.reshape(-1).tolist()))
-    assert len(classes) == len(set(got.tolist())) == len(set(expected.reshape(-1).tolist()))
-    # the lookup of _orbit_representatives: every row is found as an equal
-    # row; rows made of known column values in a new combination, or of an
-    # unknown value, are not found
-    order = np.argsort(keys)
-    ordered = keys[order]
-
-    def find(other):
-        moved = classify._row_keys(other)
-        pos = np.minimum(np.searchsorted(ordered, moved), len(ordered) - 1)
-        return np.where(ordered[pos] == moved, order[pos], -1)
-
-    hit = find(rows)
-    assert (hit >= 0).all() and np.array_equal(rows[hit], rows)
-    mixed = rows[:50].copy()
-    mixed[:, 11] = rows[50:100, 11]
-    fresh = ~(mixed[:, None, :] == rows[None, :, :]).all(axis=2).any(axis=1)
-    assert fresh.any()
-    assert np.array_equal(find(mixed) < 0, fresh)
-    unknown = rows[:5].copy()
-    unknown[:, 0] = -1
-    assert (find(unknown) == -1).all()
-
-
 @pytest.mark.parametrize("p,expected", [(2, 25), (3, 26)])
 def test_antichain_census_at_d0_three(p, expected):
     five = {2: 131, 3: 156}[p]

@@ -1,6 +1,8 @@
 """End-to-end command-line runs through JSON files."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -313,3 +315,95 @@ def test_degenerate_block_round_trip(a3):
     blob = jsonio.rep_to_json(t)
     assert blob["block_cols"] == {"x": 1}
     assert jsonio.rep_from_json(blob, a3) == t
+
+
+# sha256 of the bytes the CLI prints for fixed inputs.  A change that alters an
+# answer on purpose updates its pin and says so.
+PINNED_ANSWERS = {
+    "verify a1,a2,b1,b2,c1":
+        "7e1d9cb403bcabdb6001995d0831cc2e754768ba11075bc44590139af2b5b23b",
+    "verify a1,b2,c1,c2,c3":
+        "26c1108a9555c0ab6b8e825c10e2a4472007cdd1dccfc131d3d94d9337ccf433",
+    "decompose GF(2) 0":
+        "d9c04445f1f51ad11cf6dae66591c18f847bc2501e8c59bdaf11df39b5d09128",
+    "decompose GF(2) 1":
+        "171cd6b05f2d9322960a0f5093b0f8e7de6a783f36f7352b761abb864f824ebb",
+    "decompose GF(2) 2":
+        "c612ed7a5e48fbcc196cff54ea83b02634b9ac72a85b7aa667bfec488c3c0b24",
+    "decompose GF(2) 3":
+        "18be7f06ebebe36784a7250046d2fec8a7ba0fd51bcb68d395db632d48306e27",
+    "decompose GF(2) 4":
+        "bb40c5901681558901c32f938ebd0c467a1ce3e2a9c9d534a82c623946a44080",
+    "decompose GF(2) 5":
+        "fc7ec375be7896eceecc0320c6721949918129f075508f6b4adff614188bd588",
+    "decompose GF(2) 6":
+        "63aeebb5beb58a6dd942c80f551905cc5e974ba47133940b7404b8216e2bf700",
+    "decompose GF(2) 7":
+        "b695d4667ea0d0af7e45096aa0ab698515feee3ba5b5ad8e9f93c6c4ba140d5c",
+    "decompose GF(3) 0":
+        "2305ddc340b57084280df6a7d951a6449aca3495a344418603b1fc1e8440a0e9",
+    "decompose GF(3) 1":
+        "7ca8bd0515db19e2ef4231f6648f6588b68ddfd7d8add7ffab978d74a06d96fc",
+    "decompose GF(3) 2":
+        "1316d9af7d80b243f8c838b422e349e3bdebb5b4ea72ae999ed50e037e26fee2",
+    "decompose GF(3) 3":
+        "71ab61b30216ba5ff465e8581d4aff736c74d05dcd52c4ae678ce0f0cd147561",
+    "decompose GF(3) 4":
+        "32959ff6d4686e89f91c1baaf60d1d31f1850640b2983abc38d6d923f3868ccf",
+    "decompose GF(3) 5":
+        "9b5c37ad6531c95872abd252a1941d2e9a19f43a971cd5b116433688867a2700",
+    "decompose GF(3) 6":
+        "2573285598b172d96e48661acbee8bf3eb336e3a267af44ee303e2a27ac2556b",
+    "decompose GF(3) 7":
+        "aa581dc9e7b609d65ba23117b6407c1561a31e7b76a5ce1c75db312bd8657d7f",
+    "decompose Q 0":
+        "c6a883df5ecb62d477d7dea1155e065cbd37e4243ac108e0c6a843f16d3aee52",
+    "decompose Q 1":
+        "390fe8d9c06f8d7e22b11836cf9fd24d37f90f245d2ea17c0261ed8a984b41f9",
+    "decompose Q 2":
+        "d55dff1dd3d16cfafd0c02525b45e1c2780ba912df5cfa76a3a4964d9475051e",
+    "decompose Q 3":
+        "9a400a9b945a3954e8787d5dbf553fa998ea4c9490aa2bd8e05f7e58b1b5e539",
+    "decompose Q 4":
+        "0fd28ddb9da16192253c9c23fdbf538e4fe96d02046e42f1a58bba2879bf4a31",
+    "decompose Q 5":
+        "1e897ebcfd53c6c925248f4ffeefaff04765a3f8f6a46fb72dc0ae156bd82513",
+    "decompose Q 6":
+        "2916528fd006ecf5771684bc9b5c93073fd886b7140772d0db64995c698994c5",
+    "decompose Q 7":
+        "c1456de5a034d54f7055a705088491bf8fdcfe6364d4ecef3083924db37a04ca",
+}
+
+
+def printed_answers(tmp_path, capsys) -> dict[str, str]:
+    """Name -> sha256 of the canonical JSON printed by `verify` on two 5-point
+    subposets of K at |d| <= 5 over GF(2) and GF(3), and by `decompose` on
+    seeded elements over GF(2), GF(3) and Q."""
+    digests = {}
+
+    def digest(name, *argv):
+        assert main(list(argv)) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    for labels in (("a1", "a2", "b1", "b2", "c1"), ("a1", "b2", "c1", "c2", "c3")):
+        sub = pr.induced_subposet(pr.poset_K(), labels)
+        poset = write(tmp_path, "k5.json", jsonio.poset_to_json(sub))
+        digest(f"verify {','.join(labels)}", "verify", "--poset", poset,
+               "--max-total", "5", "--fields", "2,3")
+    rng = random.Random(23)
+    shape = {"elements": ["a", "b", "c", "d"], "relations": [["a", "b"]]}
+    poset = write(tmp_path, "p.json", shape)
+    for name, field, entries in (("GF(2)", {"p": 2}, [0, 0, 1]),
+                                 ("GF(3)", {"p": 3}, [0, 0, 1, 2]),
+                                 ("Q", "Q", [0, 0, 0, 1, -1, 2, "1/2", "-3/2"])):
+        for i in range(8):
+            d0 = rng.randint(1, 3)
+            blocks = {a: [[rng.choice(entries) for _ in range(cols)] for _ in range(d0)]
+                      for a in shape["elements"] if (cols := rng.randint(0, 2))}
+            rep = write(tmp_path, "u.json", {"field": field, "d0": d0, "blocks": blocks})
+            digest(f"decompose {name} {i}", "decompose", "--poset", poset, "--rep", rep)
+    return digests
+
+
+def test_printed_answers_are_pinned(tmp_path, capsys):
+    assert printed_answers(tmp_path, capsys) == PINNED_ANSWERS

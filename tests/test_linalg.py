@@ -67,8 +67,11 @@ def test_shapes_are_still_checked():
 
 def test_inexact_entries_are_rejected():
     """A float would enter Q as a binary fraction and GF(p) truncated, and a
-    bool as 0 or 1: no exact entry is either."""
-    for field, x in ((pr.QQ, 0.1), (F3, 2.5), (F2, 1.0), (F2, True), (pr.QQ, False)):
+    bool as 0 or 1: no exact entry is either.  Nor is a zero denominator, a
+    word, None or a list, which raise ValidationError, not a raw error."""
+    for field, x in ((pr.QQ, 0.1), (F3, 2.5), (F2, 1.0), (F2, True), (pr.QQ, False),
+                     (pr.QQ, "1/0"), (F3, "1/0"), (pr.QQ, "abc"), (F2, "abc"),
+                     (pr.QQ, None), (F2, None), (pr.QQ, [1]), (F3, [1])):
         with pytest.raises(pr.ValidationError):
             field.coerce(x)
         with pytest.raises(pr.ValidationError):
