@@ -44,7 +44,7 @@ from .errors import (
     NotFiniteType,
     ValidationError,
 )
-from .linalg import ExactMatrix, FieldSpec, resolve_budget, rref, _columns
+from .linalg import ExactMatrix, FieldSpec, resolve_budget, span_rows
 from .poset import (LOCK, Poset, build_poset, canonical_form, induced_subposet,
                     maximal_elements, memo, _restrict)
 from .reps import (
@@ -75,7 +75,7 @@ class SubspaceSpace:
     stabilizer actions.
 
     A subspace is the canonical tuple of its reduced-echelon basis rows, which
-    linalg.rref, the one elimination kernel, returns for any spanning set; its
+    linalg.span_rows returns for any spanning set and SubspaceRep stores; its
     id is its place in interning order.  supersets lists in echelon order,
     by pivot columns and then rows, so what a census enumerates depends on
     the subspaces alone, never on their ids.  The stabilizer in GL_n(F_p) of
@@ -104,8 +104,7 @@ class SubspaceSpace:
 
     def _intern_span(self, rows: Iterable[Sequence[int]]) -> int:
         """The id of the span of the given rows."""
-        reduced, _ = rref(rows, self.n, self.p)
-        return self._intern(tuple(map(tuple, reduced)))
+        return self._intern(span_rows(rows, self.n, self.p))
 
     def basis_rows(self, sid: int) -> tuple[tuple[int, ...], ...]:
         return self._basis[sid]
@@ -116,10 +115,7 @@ class SubspaceSpace:
     def join(self, s1: int, s2: int) -> int:
         if s1 > s2:
             s1, s2 = s2, s1
-        return memo(self._join, (s1, s2), self._join_rows, s1, s2)
-
-    def _join_rows(self, s1: int, s2: int) -> int:
-        return self._intern_span(self._basis[s1] + self._basis[s2])
+        return memo(self._join, (s1, s2), self._intern_span, self._basis[s1] + self._basis[s2])
 
     def supersets(self, sid: int, k: int) -> tuple[int, ...]:
         """All subspaces containing sid with dim(sid) + k dimensions, sorted
@@ -131,7 +127,7 @@ class SubspaceSpace:
         """Each superset T of sid built once, as sid + W for W in echelon form
         on the columns off sid's pivots, which stand for the quotient by sid:
         each choice of k pivot columns, then each value of the free entries
-        right of the pivots; T is reduced with one rref."""
+        right of the pivots; T is reduced with one span_rows."""
         n, p = self.n, self.p
         rows = self._basis[sid]
         taken = {row.index(1) for row in rows}
@@ -143,18 +139,13 @@ class SubspaceSpace:
                 lifted = [[int(c == q) for c in range(n)] for q in piv]
                 for (r, c), x in zip(slots, values):
                     lifted[r][c] = x
-                reduced, pivots = rref([*rows, *lifted], n, p)
-                found.append((pivots, tuple(map(tuple, reduced))))
+                reduced = span_rows([*rows, *lifted], n, p)
+                found.append(([row.index(1) for row in reduced], reduced))
         return tuple(self._intern(reduced) for _, reduced in sorted(found))
 
     def stabilizer(self, k: int) -> _Stabilizer:
         """The stabilizer in GL_n(F_p) of span(e_0, ..., e_{k-1}), created once."""
         return memo(self._stabilizers, k, _Stabilizer, self, k)
-
-    def to_matrix(self, sid: int, field: FieldSpec) -> ExactMatrix:
-        """Canonical basis of the subspace, as columns of an ExactMatrix."""
-        rows = self._basis[sid]
-        return ExactMatrix._of(field, self.n, len(rows), _columns(rows, self.n))
 
 
 class _Stabilizer:
@@ -330,9 +321,8 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     field = FieldSpec("gf", p)
     indec = []
     for cfg in reps:
-        subs = {a: space.to_matrix(cfg[i], field)
-                for i, a in enumerate(canon.elements)}
-        if _splitting_idempotent(SubspaceRep._of(canon, field, d.d0, subs)) is None:
+        rows = {a: space.basis_rows(cfg[i]) for i, a in enumerate(canon.elements)}
+        if _splitting_idempotent(SubspaceRep._of(canon, field, d.d0, rows)) is None:
             indec.append(cfg)
     return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
@@ -422,8 +412,8 @@ def _lift_configs(poset: Poset, d0: int, field: FieldSpec, order: tuple[str, ...
     space = _space(field.p, d0)
     out = []
     for cfg in configs:
-        subs = {a: space.to_matrix(cfg[order.index(a)], field) for a in sub.elements}
-        u = lift(SubspaceRep._of(sub, field, d0, subs))
+        rows = {a: space.basis_rows(cfg[order.index(a)]) for a in sub.elements}
+        u = lift(SubspaceRep._of(sub, field, d0, rows))
         out.append(MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, u.blocks)))
     return tuple(out)
 

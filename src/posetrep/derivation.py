@@ -12,16 +12,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContextMismatch, InvariantViolated, NotMaximal, ValidationError
-from .linalg import (
-    ExactMatrix,
-    complete_to_full_rank,
-    hstack,
-    solve_columns,
-    span_intersection,
-    span_sum,
-)
+from .linalg import ExactMatrix, complete_to_full_rank, hstack, meet_rows
 from .poset import Poset, incomparables, strict_lower_cone
-from .reps import MatrixRep, SubspaceRep, dimension_of
+from .reps import MatrixRep, SubspaceRep, check_order, dimension_of
 from .tits import DimensionVector
 
 
@@ -97,32 +90,24 @@ def differentiate(v: SubspaceRep, a: str,
     """Derived representation on S^a, with ambient space V(a).
 
     An adjoined pair q = {b, c} takes (V(b)+V(c)) ∩ V(a).  The literal
-    reading V(b) ∩ V(c) ∩ V(a) can fail to be order preserving.
+    reading V(b) ∩ V(c) ∩ V(a) can fail to be order preserving.  A vector of
+    V(a) has its coordinates in V(a)'s echelon basis at V(a)'s pivots, and
+    read there the echelon rows of each meet stay in echelon form.
     """
     p = v.poset
     if context is None:
         context = derive_poset(p, a)
     elif context.base != p or context.pivot != a:
         raise ContextMismatch("derivation context does not match representation/pivot")
-    Va = v.subspace(a)
-    field = v.field
-
-    def in_pivot_coords(x: ExactMatrix) -> ExactMatrix:
-        inter = span_intersection(x, Va)
-        coords = solve_columns(Va, inter)
-        if coords is None:  # unreachable: inter ⊆ span(Va)
-            raise ValidationError("intersection escaped the pivot subspace")
-        return coords
-
-    subs: dict[str, ExactMatrix] = {}
+    n, q, va = v.ambient_dim, v.field.p, v.rows[a]
+    pivots = [row.index(1) for row in va]
+    rows = {}
     for x in context.result.elements:
         kind, payload = context.provenance[x]
-        if kind == "element":
-            subs[x] = in_pivot_coords(v.subspace(payload))
-        else:
-            b, c = payload
-            subs[x] = in_pivot_coords(span_sum(v.subspace(b), v.subspace(c)))
-    return SubspaceRep(context.result, field, Va.cols, subs)
+        span = v.rows[payload] if kind == "element" else v.rows[payload[0]] + v.rows[payload[1]]
+        rows[x] = tuple(tuple(w[c] for c in pivots) for w in meet_rows(span, va, n, q))
+    check_order(context.result, len(va), q, rows)
+    return SubspaceRep._of(context.result, v.field, len(va), rows)
 
 
 def integrate(v: MatrixRep, context: DerivedPoset) -> MatrixRep:

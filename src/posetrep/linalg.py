@@ -7,7 +7,8 @@ the public ExactMatrix constructor reject floats and bools.  The public
 constructor checks the shape and every entry; every matrix an operation
 here returns is built through ExactMatrix._of, which trusts its data.
 Every elimination goes through one Gauss-Jordan kernel, rref, which
-resolves the field once per call.
+resolves the field once per call.  A subspace of F^n is held in one format,
+the tuple of its reduced-echelon rows, which span_rows makes from any spanning set.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind == "gf":
-            if self.p is None or not is_prime(self.p):
-                raise ValidationError(f"field characteristic must be prime, got {self.p}")
+            if type(self.p) is not int or not is_prime(self.p):
+                raise ValidationError(f"field characteristic must be a prime int, got {self.p!r}")
         elif self.kind == "rationals":
             if self.p is not None:
                 raise ValidationError("the rationals carry no characteristic parameter")
@@ -344,34 +345,32 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 # -- span utilities ------------------------------------------------------------
 
 
+def span_rows(vectors: Iterable[Sequence], n: int, p: int | None) -> tuple[tuple, ...]:
+    """The canonical rows of the span of vectors in F^n: its reduced-echelon
+    basis, one tuple per row, so equal spans give equal tuples.  Entries are
+    as for rref; over Q they must be Fractions."""
+    return tuple(map(tuple, rref(vectors, n, p)[0]))
+
+
+def meet_rows(x: Sequence[tuple], y: Sequence[tuple], n: int,
+              p: int | None) -> tuple[tuple, ...]:
+    """The canonical rows of span(x) ∩ span(y) in F^n, by Zassenhaus: the
+    right halves of the rows of rref([x | x; y | 0]) whose left half is zero,
+    already in reduced echelon form."""
+    pad = (0 if p else Fraction(0),) * n
+    rows = span_rows([*(r + r for r in x), *(r + pad for r in y)], 2 * n, p)
+    return tuple(r[n:] for r in rows if not any(r[:n]))
+
+
+def column_matrix(field: FieldSpec, n: int, vectors: Sequence[Sequence]) -> ExactMatrix:
+    """The n-row matrix with the given vectors as its columns."""
+    return ExactMatrix._of(field, n, len(vectors), _columns(vectors, n))
+
+
 def column_space_basis(m: ExactMatrix) -> ExactMatrix:
-    """Canonical basis of the column space (columns of the result).
-
-    Canonical means: RREF rows of the transpose, transposed back, so equal
-    spans yield equal matrices.
-    """
-    R, _, rank = m.transpose().rref()
-    return ExactMatrix._of(m.field, m.rows, rank, _columns(R.data[:rank], m.rows))
-
-
-def span_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return column_space_basis(hstack([a, b]))
-
-
-def span_intersection(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Canonical basis of colspan(a) ∩ colspan(b): a·x over the solutions
-    of a·x = b·y."""
-    null = hstack([a, -b]).nullspace_basis() if a.cols and b.cols else []
-    x = ExactMatrix._of(a.field, a.cols, len(null),
-                        _columns(null, a.cols + b.cols)[:a.cols])
-    return column_space_basis(a @ x)
-
-
-def span_contains(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """colspan(b) ⊆ colspan(a)?"""
-    if b.cols == 0:
-        return True
-    return hstack([a, b]).rank() == a.rank()
+    """Canonical basis of the column space: span_rows of the columns, as the
+    columns of the result, so equal spans yield equal matrices."""
+    return column_matrix(m.field, m.rows, span_rows(_columns(m.data, m.cols), m.rows, m.field.p))
 
 
 def solve_columns(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:

@@ -55,11 +55,7 @@ class Poset(Value):
     __slots__ = ("elements", "_index", "_below", "_above", "_pairs", "_cache")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
-        elements = tuple(elements)
-        if not all(isinstance(a, str) for a in elements):
-            raise ValidationError(f"element labels must be strings, got {list(elements)}")
-        if len(set(elements)) != len(elements):
-            raise DuplicateLabel("element labels must be pairwise distinct")
+        elements = _check_labels(elements)
         lt = frozenset(map(_relation, lt_pairs))
         below = [0] * len(elements)
         for a, b in lt:
@@ -144,6 +140,16 @@ class Poset(Value):
         return tuple(a for a in self.elements if a in subset)
 
 
+def _check_labels(elements: Sequence[str]) -> tuple[str, ...]:
+    """The labels as a tuple, when they are pairwise distinct strings."""
+    elements = tuple(elements)
+    if not all(isinstance(a, str) for a in elements):
+        raise ValidationError(f"element labels must be strings, got {list(elements)}")
+    if len(set(elements)) != len(elements):
+        raise DuplicateLabel("element labels must be pairwise distinct")
+    return elements
+
+
 def _relation(rel) -> tuple[str, str]:
     """(a, b), meaning a ≺ b, from a list or tuple of two string labels."""
     if not (isinstance(rel, (list, tuple)) and len(rel) == 2
@@ -155,11 +161,10 @@ def _relation(rel) -> tuple[str, str]:
 def build_poset(elements: Sequence[str], relations: Iterable[Sequence[str]]) -> Poset:
     """Build a poset from labels and generating relations (a, b) meaning a ≺ b.
 
-    The relation is transitively closed; cycles raise CycleDetected.
+    Labels are checked as in Poset; the relation is transitively closed and
+    a cycle raises CycleDetected.
     """
-    elements = tuple(str(e) for e in elements)
-    if len(set(elements)) != len(elements):
-        raise DuplicateLabel("element labels must be pairwise distinct")
+    elements = _check_labels(elements)
     index = {a: i for i, a in enumerate(elements)}
     below = [0] * len(elements)
     for a, b in map(_relation, relations):

@@ -6,9 +6,9 @@ blocks at or below a.  Morphisms of elements are triangular families
 Φ(0), Φ(a), Φ(ba) subject to  Φ(0)M(a) = M'(a)Φ(a) + Σ_{b≺a} M'(b)Φ(ba).
 
 The public MatrixRep and SubspaceRep constructors check their blocks and
-subspaces; SubspaceRep canonicalizes them.  Every element and representation
-built here goes through _of: its blocks are valid, its subspaces canonical
-and order preserving by construction.
+subspaces; SubspaceRep stores each V(a) as its canonical rows (span_rows).
+Every element and representation built here goes through _of: its blocks
+are valid, its rows canonical and order preserving by construction.
 
 Decomposition splits off trivial columns, then splits the representation by
 idempotents of its endomorphism algebra, found by a deterministic decision,
@@ -36,12 +36,13 @@ from .linalg import (
     DEFAULT_SEARCH_BUDGET,
     ExactMatrix,
     FieldSpec,
+    column_matrix,
     column_space_basis,
     check_counts,
     hstack,
     resolve_budget,
     solve_columns,
-    span_contains,
+    span_rows,
     _columns,
     _independent_columns,
 )
@@ -122,11 +123,12 @@ def stacked_lower_blocks(u: MatrixRep, a: str, strict: bool = False) -> ExactMat
 class SubspaceRep(Value):
     """Order-preserving assignment of subspaces of an ambient space.
 
-    Basis matrices are canonicalized on construction, so two equal
-    representations compare equal entrywise.
+    rows[a] holds V(a) as its canonical rows (linalg.span_rows), in element
+    order, so two equal representations compare equal entrywise; the public
+    constructor takes a basis matrix per element, its columns spanning V(a).
     """
 
-    __slots__ = ("poset", "field", "ambient_dim", "subspaces")
+    __slots__ = ("poset", "field", "ambient_dim", "rows")
 
     def __init__(self, poset: Poset, field: FieldSpec, ambient_dim: int,
                  subspaces: Mapping[str, ExactMatrix]):
@@ -134,49 +136,49 @@ class SubspaceRep(Value):
         unknown = [a for a in subspaces if a not in poset]
         if unknown:
             raise UnknownElement(f"subspaces given for unknown elements {sorted(unknown)}")
-        canon, empty = {}, ExactMatrix.zeros(field, ambient_dim, 0)
+        rows, empty = {}, ExactMatrix.zeros(field, ambient_dim, 0)
         for a in poset.elements:
             m = subspaces.get(a, empty)
             if not isinstance(m, ExactMatrix) or m.rows != ambient_dim or m.field != field:
                 raise ValidationError(f"subspace basis at {a!r} has the wrong shape/field")
-            canon[a] = column_space_basis(m)
-        for a, b in poset.relation_pairs():
-            if not span_contains(canon[b], canon[a]):
-                raise ValidationError(
-                    f"not order preserving: V({a}) is not contained in V({b})"
-                )
-        self._fill(poset, field, ambient_dim, canon)
+            rows[a] = span_rows(_columns(m.data, m.cols), ambient_dim, field.p)
+        check_order(poset, ambient_dim, field.p, rows)
+        self._fill(poset, field, ambient_dim, rows)
 
     def subspace(self, a: str) -> ExactMatrix:
+        """The canonical basis of V(a), as the columns of a matrix."""
         self.poset.check_element(a)
-        return self.subspaces[a]
+        return column_matrix(self.field, self.ambient_dim, self.rows[a])
 
     def dim(self, a: str) -> int:
-        return self.subspace(a).cols
-
-    def below_sum(self, a: str) -> ExactMatrix:
-        mats = [ExactMatrix.zeros(self.field, self.ambient_dim, 0)]
-        mats += [self.subspaces[b] for b in self.poset.below(a)]
-        return column_space_basis(hstack(mats))
+        self.poset.check_element(a)
+        return len(self.rows[a])
 
     def dimension_vector(self) -> DimensionVector:
-        vals = {}
-        for a in self.poset.elements:
-            vals[a] = self.dim(a) - self.below_sum(a).cols
-        return DimensionVector(self.ambient_dim, vals)
+        """d(a) = dim V(a) - dim Σ_{b≺a} V(b)."""
+        n, p, rows = self.ambient_dim, self.field.p, self.rows
+        below = {a: [r for b in self.poset.below(a) for r in rows[b]] for a in rows}
+        return DimensionVector(n, {a: len(rows[a]) - len(span_rows(below[a], n, p)) for a in rows})
 
     def __eq__(self, other):
         return isinstance(other, SubspaceRep) and (
-            self.poset, self.field, self.ambient_dim, self.subspaces) == (
-            other.poset, other.field, other.ambient_dim, other.subspaces)
+            self.poset, self.field, self.ambient_dim, self.rows) == (
+            other.poset, other.field, other.ambient_dim, other.rows)
 
     def __hash__(self):
-        return hash((self.poset, self.field, self.ambient_dim,
-                     tuple(self.subspaces[a] for a in self.poset.elements)))
+        return hash((self.poset, self.field, self.ambient_dim, tuple(self.rows.values())))
 
     def __repr__(self):
-        bits = ", ".join(f"{a}:{m.cols}" for a, m in self.subspaces.items())
+        bits = ", ".join(f"{a}:{len(r)}" for a, r in self.rows.items())
         return f"SubspaceRep(dim {self.ambient_dim}; {bits})"
+
+
+def check_order(poset: Poset, n: int, p: int | None, rows: Mapping[str, tuple]) -> None:
+    """Raise ValidationError unless V(a) ⊆ V(b) whenever a ≺ b, for the
+    canonical rows of subspaces of F^n."""
+    for a, b in poset.relation_pairs():
+        if len(span_rows(rows[b] + rows[a], n, p)) > len(rows[b]):
+            raise ValidationError(f"not order preserving: V({a}) is not contained in V({b})")
 
 
 # -- the functor both ways -----------------------------------------------------------
@@ -184,8 +186,10 @@ class SubspaceRep(Value):
 
 def rho(u: MatrixRep) -> SubspaceRep:
     """V(a) = column span of the blocks at or below a."""
-    subs = {a: column_space_basis(stacked_lower_blocks(u, a)) for a in u.poset.elements}
-    return SubspaceRep._of(u.poset, u.field, u.d0, subs)
+    columns = {a: _columns(m.data, m.cols) for a, m in u.blocks.items()}
+    rows = {a: span_rows([c for b in (*u.poset.below(a), a) for c in columns[b]],
+                         u.d0, u.field.p) for a in u.poset.elements}
+    return SubspaceRep._of(u.poset, u.field, u.d0, rows)
 
 
 def lift(v: SubspaceRep) -> MatrixRep:
@@ -193,12 +197,14 @@ def lift(v: SubspaceRep) -> MatrixRep:
 
     Block a holds the canonical basis columns of V(a) that complete
     Σ_{b≺a} V(b), greedily in index order: the pivot columns of V(a) in
-    rref([Σ_{b≺a} V(b) | V(a)]).
+    rref([V(b) for b ≺ a | V(a)]).
     """
-    subs = v.subspaces
-    blocks = {a: subs[a].take_columns(_independent_columns(v.below_sum(a), subs[a]))
-              for a in v.poset.elements}
-    return MatrixRep._of(v.poset, v.field, v.ambient_dim, blocks)
+    field, n, blocks = v.field, v.ambient_dim, {}
+    for a in v.poset.elements:
+        below = column_matrix(field, n, [r for b in v.poset.below(a) for r in v.rows[b]])
+        own = v.subspace(a)
+        blocks[a] = own.take_columns(_independent_columns(below, own))
+    return MatrixRep._of(v.poset, field, n, blocks)
 
 
 # -- distinguished elements -----------------------------------------------------------
@@ -318,26 +324,24 @@ def rep_hom_basis(v: SubspaceRep, w: SubspaceRep) -> list[RepMorphism]:
         raise ValidationError("hom between representations over different posets")
     if v.field != w.field:
         raise FieldMismatch("hom between representations over different fields")
-    field, p, n = v.field, v.field.p, v.ambient_dim
-    n_unknowns = w.ambient_dim * n
+    field, p, n, m = v.field, v.field.p, v.ambient_dim, w.ambient_dim
     zero = field.zero()
     rows = []
     for a in v.poset.elements:
-        columns = v.subspaces[a].transpose().data
-        annihilator = w.subspaces[a].transpose().nullspace_basis()
-        # y^T f b = 0 for y in the annihilator of W(a), b a basis column of V(a)
+        target = w.rows[a]
+        annihilator = ExactMatrix._of(field, len(target), m, target).nullspace_basis()
+        # y^T f b = 0 for y in the annihilator of W(a), b a basis row of V(a)
         for y in annihilator:
-            for b in columns:
-                row = [zero] * n_unknowns
+            for b in v.rows[a]:
+                row = [zero] * (m * n)
                 for i, yi in enumerate(y):
                     if yi:
                         row[i * n:(i + 1) * n] = ([yi * x for x in b] if p is None
                                                   else [yi * x % p for x in b])
                 rows.append(row)
-    system = ExactMatrix._of(field, len(rows), n_unknowns, tuple(map(tuple, rows)))
-    return [RepMorphism(ExactMatrix._of(field, w.ambient_dim, n,
-                                        tuple(vec[i * n:(i + 1) * n]
-                                              for i in range(w.ambient_dim))))
+    system = ExactMatrix._of(field, len(rows), m * n, tuple(map(tuple, rows)))
+    return [RepMorphism(ExactMatrix._of(field, m, n,
+                                        tuple(vec[i * n:(i + 1) * n] for i in range(m))))
             for vec in system.nullspace_basis()]
 
 
@@ -394,9 +398,7 @@ def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpe
         r = g.rank()
         if r == 0 or r == n:
             return None
-        img = column_space_basis(g)
-        ker_vecs = g.nullspace_basis()
-        ker = ExactMatrix._of(field, n, len(ker_vecs), _columns(ker_vecs, n))
+        img, ker = column_space_basis(g), column_matrix(field, n, g.nullspace_basis())
         e = hstack([img, ExactMatrix.zeros(field, n, n - r)]) @ hstack([img, ker]).inverse()
         if e @ e != e:
             raise InvariantViolated("splitting element is not idempotent")
@@ -453,11 +455,16 @@ def _splitting_idempotent(v: SubspaceRep, budget: int | None = None) -> ExactMat
 
 def _restrict_rep(v: SubspaceRep, e: ExactMatrix) -> tuple[SubspaceRep, ExactMatrix]:
     """Restriction of v to the image of the idempotent e, in the coordinates
-    of the canonical basis C of that image; and C."""
-    C = column_space_basis(e)
-    subs = {a: column_space_basis(solve_columns(C, e @ v.subspaces[a]))
-            for a in v.poset.elements}
-    return SubspaceRep._of(v.poset, v.field, C.cols, subs), C
+    of the canonical basis C of that image; and C.  A vector of the image has
+    its coordinates at C's pivots: for each row b of V(a), e·b is read there."""
+    field, n = v.field, v.ambient_dim
+    image = span_rows(_columns(e.data, n), n, field.p)
+    at_pivots = column_matrix(field, n, [e.data[row.index(1)] for row in image])
+    rows = {}
+    for a, basis in v.rows.items():
+        coords = ExactMatrix._of(field, len(basis), n, basis) @ at_pivots
+        rows[a] = span_rows(coords.data, len(image), field.p)
+    return SubspaceRep._of(v.poset, field, len(image), rows), column_matrix(field, n, image)
 
 
 def _split(v: SubspaceRep, budget: int | None) -> list[tuple[SubspaceRep, ExactMatrix]]:

@@ -15,7 +15,7 @@ import pytest
 import posetrep as pr
 from posetrep import classify, tits
 from posetrep import poset as poset_module
-from posetrep.linalg import ExactMatrix, hstack, span_sum
+from posetrep.linalg import ExactMatrix, hstack, span_rows
 from posetrep.poset import Poset, canonical_form, strict_lower_cone
 
 
@@ -244,9 +244,9 @@ def matrix_indecomposables(poset: Poset, d: pr.DimensionVector,
         if v.dimension_vector() != d or v in images:
             continue
         images.add(v)
-        spans = [v.subspace(a) for a in poset.elements]
-        pairs = itertools.combinations_with_replacement(spans, 2)
-        bucket = buckets.setdefault(tuple(span_sum(x, y).cols for x, y in pairs), [])
+        pairs = itertools.combinations_with_replacement(v.rows.values(), 2)
+        bucket = buckets.setdefault(
+            tuple(len(span_rows(x + y, d.d0, field.p)) for x, y in pairs), [])
         if any(pr.are_isomorphic(u, w) is not None for w in bucket):
             continue
         bucket.append(u)

@@ -56,6 +56,7 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     sheared = MatrixRep(a3, F3, 2, {"x": ExactMatrix.from_rows(F3, [[1, 1], [0, 1]])})
     assert pr.are_isomorphic(direct_sum(ex, ex), sheared).is_invertible()
     assert pr.differentiate(pr.rho(three), "x").ambient_dim == 1
+    assert pr.differentiate(pr.rho(built[-1]), "c4").field == pr.QQ
     twice_e = ExactMatrix.from_rows(F3, [[2, 0], [0, 0]])  # not idempotent: a Fitting split
     assert _find_splitting_idempotent([twice_e, ExactMatrix.identity(F3, 2)], 2, F3) == \
         ExactMatrix.from_rows(F3, [[1, 0], [0, 0]])
@@ -65,24 +66,27 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     callers = {cls: {name for name, _ in values} for cls, values in made.items()}
     assert callers[Poset] >= {"build_poset", "induced_subposet", "derive_poset",
                               "_canonical_relabelling", "_build_root"}
-    assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_census_core", "_lift_configs"}
+    assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_census_core", "_lift_configs",
+                                    "differentiate"}
     assert callers[MatrixRep] >= {"lift", "split_trivial_columns", "integrate",
                                   "_construct_root", "_lift_configs", "special_T",
                                   "antichain_unit_element"}
     assert callers[ExactMatrix] >= {
-        "transpose", "take_columns", "_reduced", "__matmul__", "rref", "identity", "zeros",
-        "hstack", "column_space_basis", "span_intersection", "solve_columns",
-        "_vector_to_morphism",
-        "el_hom_basis", "rep_hom_basis", "inspect", "to_matrix", "assemble",
-        "_lift_isomorphism"}
+        "take_columns", "_reduced", "__matmul__", "rref", "identity", "zeros", "hstack",
+        "column_matrix", "solve_columns", "_vector_to_morphism", "el_hom_basis",
+        "rep_hom_basis", "assemble", "_lift_isomorphism"}
     for _, m in made[ExactMatrix]:
         check_trusted_matrix(m)
     for _, u in made[MatrixRep]:
         assert list(u.blocks) == list(u.poset.elements)
         assert u == MatrixRep(u.poset, u.field, u.d0, u.blocks)
+    assert any(v.field == pr.QQ for name, v in made[SubspaceRep] if name == "differentiate")
     for _, v in made[SubspaceRep]:
-        assert list(v.subspaces) == list(v.poset.elements)
-        assert v == SubspaceRep(v.poset, v.field, v.ambient_dim, v.subspaces)
+        assert list(v.rows) == list(v.poset.elements)
+        bases = {a: v.subspace(a) for a in v.poset.elements}
+        for m in bases.values():
+            check_trusted_matrix(m)
+        assert v == SubspaceRep(v.poset, v.field, v.ambient_dim, bases)
     for _, q in made[Poset]:
         checked = Poset(q.elements, q.relation_pairs())
         assert (q.elements, q._index, q._below, q._above, q._pairs) == (

@@ -372,24 +372,77 @@ PINNED_ANSWERS = {
         "2916528fd006ecf5771684bc9b5c93073fd886b7140772d0db64995c698994c5",
     "decompose Q 7":
         "c1456de5a034d54f7055a705088491bf8fdcfe6364d4ecef3083924db37a04ca",
+    "differentiate GF(2) 0":
+        "610c971493d9171d822358c4e29fc40efbf2840a064717533231ccc1c905b954",
+    "differentiate GF(2) 1":
+        "b2a2b731d0b7553c85af2817790fbbfaee804cce9753d10e15f9d8dbd83dd03b",
+    "differentiate GF(2) 2":
+        "5147ee4f3005d0c9358af90ba84124ce3971346c5807c105924351b47771d4e4",
+    "differentiate GF(2) 3":
+        "319db36e96af56adf37eb44b1feff5fdc097a25990ce357cfc9e9c3453d31a6d",
+    "differentiate GF(2) 4":
+        "e148f77a0e1c2858ee8df5abfdc9dbce149da9b36ac5fb6b796a26f15d05986b",
+    "differentiate GF(2) 5":
+        "b2d0758aa8afc50fc839812c1ef66b1f344c04f8cb6a734e0306e68f2abd4beb",
+    "differentiate GF(2) 6":
+        "610c971493d9171d822358c4e29fc40efbf2840a064717533231ccc1c905b954",
+    "differentiate GF(2) 7":
+        "a08e52d1f769ba4b70cb4b4760fe679303f1ab96858b87e57ed7939349abf8e8",
+    "differentiate GF(3) 0":
+        "8e91295b4a9aeb196d9c3a4f639d08ef5f448aa03bd548d83de080a89de34051",
+    "differentiate GF(3) 1":
+        "1e81a8cb24658b29ba1d05ba04ee3ba37c5397ea614f150a318dee7dab68caa6",
+    "differentiate GF(3) 2":
+        "1e81a8cb24658b29ba1d05ba04ee3ba37c5397ea614f150a318dee7dab68caa6",
+    "differentiate GF(3) 3":
+        "4399b7831b6dbd0a2634b8f54440429e1a6971d4ad8a682a9f03b9d076779023",
+    "differentiate GF(3) 4":
+        "1e81a8cb24658b29ba1d05ba04ee3ba37c5397ea614f150a318dee7dab68caa6",
+    "differentiate GF(3) 5":
+        "aaefe3d28942223589c8ee5528655a14baa40fe2be8468938c64dc06594f16a8",
+    "differentiate GF(3) 6":
+        "53ebd88ea55fc112f3cf49dc28e29291e2dc0f8fc5d160312798b7fe383a0b63",
+    "differentiate GF(3) 7":
+        "85baa2a1cfcd29ce745ef44f6cfd3616e58b30209430f6ecab3fc0ab6686f277",
+    "differentiate Q 0":
+        "fceb683964d6c7af7db2db912dd07f3aaa9c5f0e7129c3b09f10c500b8557feb",
+    "differentiate Q 1":
+        "48466d9d74f29de1f5fc40a21ec8253cc7d88466d26d1d8c4be7a28f98c360ba",
+    "differentiate Q 2":
+        "a2099db3ef4f57e36a32bed7fa9d245c9c1a26eec76d4f28ec214a81b1498819",
+    "differentiate Q 3":
+        "f338eb699bf4197af22cff06ca601e3e49e02a9563250aa2e4dc73e7fae3e06a",
+    "differentiate Q 4":
+        "e503852fc03ae2cd60bd3e649440eea6ef705b6a99f414813321f64f9783be53",
+    "differentiate Q 5":
+        "9a8c379679edddbf8af7d08ad909c8694c4080638b97b4f045bec1ddfc39b279",
+    "differentiate Q 6":
+        "112d94b2dfc64eab75865ed0406149d91a8c354603ed08cae086f1ed6dc95cd8",
+    "differentiate Q 7":
+        "a2a56af99df0fb31f6479fc65ea2878946fec841a0cd77382d9502a48fe76f61",
 }
 
 
 def printed_answers(tmp_path, capsys) -> dict[str, str]:
     """Name -> sha256 of the canonical JSON printed by `verify` on two 5-point
-    subposets of K at |d| <= 5 over GF(2) and GF(3), and by `decompose` on
-    seeded elements over GF(2), GF(3) and Q."""
+    subposets of K at |d| <= 5 over GF(2) and GF(3), and by `decompose` and
+    `differentiate` at each maximal pivot on seeded elements over GF(2),
+    GF(3) and Q."""
     digests = {}
 
-    def digest(name, *argv):
-        assert main(list(argv)) == 0
-        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    def digest(name, *argvs):
+        """The sha256 of what main prints for each argv in turn."""
+        h = hashlib.sha256()
+        for argv in argvs:
+            assert main(list(argv)) == 0
+            h.update(capsys.readouterr().out.encode())
+        digests[name] = h.hexdigest()
 
     for labels in (("a1", "a2", "b1", "b2", "c1"), ("a1", "b2", "c1", "c2", "c3")):
         sub = pr.induced_subposet(pr.poset_K(), labels)
         poset = write(tmp_path, "k5.json", jsonio.poset_to_json(sub))
-        digest(f"verify {','.join(labels)}", "verify", "--poset", poset,
-               "--max-total", "5", "--fields", "2,3")
+        digest(f"verify {','.join(labels)}", ("verify", "--poset", poset,
+                                               "--max-total", "5", "--fields", "2,3"))
     rng = random.Random(23)
     shape = {"elements": ["a", "b", "c", "d"], "relations": [["a", "b"]]}
     poset = write(tmp_path, "p.json", shape)
@@ -401,7 +454,10 @@ def printed_answers(tmp_path, capsys) -> dict[str, str]:
             blocks = {a: [[rng.choice(entries) for _ in range(cols)] for _ in range(d0)]
                       for a in shape["elements"] if (cols := rng.randint(0, 2))}
             rep = write(tmp_path, "u.json", {"field": field, "d0": d0, "blocks": blocks})
-            digest(f"decompose {name} {i}", "decompose", "--poset", poset, "--rep", rep)
+            digest(f"decompose {name} {i}", ("decompose", "--poset", poset, "--rep", rep))
+            digest(f"differentiate {name} {i}", *(
+                ("differentiate", "--poset", poset, "--rep", rep, "--pivot", a)
+                for a in ("b", "c", "d")))  # the maximal elements
     return digests
 
 

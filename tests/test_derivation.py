@@ -8,8 +8,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import classify
-from posetrep.linalg import (ExactMatrix, complete_to_full_rank, hstack, solve_columns,
-                             span_intersection)
+from posetrep.linalg import ExactMatrix, complete_to_full_rank, hstack, meet_rows
 from posetrep.poset import incomparables, strict_lower_cone
 from posetrep.reps import rep_decompose
 
@@ -96,9 +95,10 @@ def test_intersection_rule_breaks_order_preservation(a3, a3ctx):
     v = pr.SubspaceRep(a3, F2, 2, {"x": line, "y": line, "z": other})
     sum_reading = pr.differentiate(v, "x", a3ctx)
     assert sum_reading.dim("{y,z}") == 1
-    meet = span_intersection(span_intersection(line, other), line)
-    literal = dict(sum_reading.subspaces)
-    literal["{y,z}"] = solve_columns(line, meet)
+    meet = meet_rows(meet_rows(v.rows["y"], v.rows["z"], 2, 2), v.rows["x"], 2, 2)
+    assert meet == ()  # so {y,z} gets no coordinates in V(x)
+    literal = {x: sum_reading.subspace(x) for x in a3ctx.result.elements}
+    literal["{y,z}"] = ExactMatrix.zeros(F2, 1, 0)
     assert literal["y"].cols == 1 and literal["{y,z}"].cols == 0
     with pytest.raises(pr.ValidationError):
         pr.SubspaceRep(a3ctx.result, F2, 1, literal)

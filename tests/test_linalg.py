@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 import posetrep as pr
 from posetrep.linalg import (
     ExactMatrix,
+    column_matrix,
     column_space_basis,
     complete_to_full_rank,
     hstack,
+    meet_rows,
     rref,
     solve_columns,
-    span_contains,
-    span_intersection,
-    span_sum,
+    span_rows,
 )
 
 from conftest import check_trusted_matrix
@@ -31,6 +31,18 @@ def test_field_validation():
         pr.GF(1)
     assert pr.GF(7).label() == "GF(7)"
     assert pr.QQ.label() == "Q"
+
+
+def test_characteristic_must_be_an_int():
+    """A float characteristic would make coerce return floats, and a string
+    one raised a raw TypeError: every characteristic that is not an int
+    raises ValidationError."""
+    for p in (2.0, 3.0, "3", None, True, Fraction(3), [3]):
+        with pytest.raises(pr.ValidationError):
+            pr.GF(p)
+        with pytest.raises(pr.ValidationError):
+            pr.FieldSpec("gf", p)
+    assert pr.GF(3).coerce(5) == 2 and type(pr.GF(2).coerce(5)) is int
 
 
 def test_coercion():
@@ -106,11 +118,14 @@ def test_trusted_results_equal_checked():
         for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0)] + [
                 (rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)) for _ in range(30)]:
             a, b, x = rand(r, c), rand(r, c), rand(c, k)
+            cols_a, cols_b = a.transpose().data, b.transpose().data
             results = [a.transpose(), a.take_columns([c - 1, 0] if c else []), a + b, a - b,
                        -a, a.scale(2), a.scale(Fraction(1, 2)) if field != F2 else a,
                        a @ x, a.rref()[0], ExactMatrix.identity(field, r),
                        ExactMatrix.zeros(field, r, c), hstack([a, b, rand(r, k)]),
-                       column_space_basis(a), span_sum(a, b), span_intersection(a, b),
+                       column_space_basis(a),
+                       column_matrix(field, r, span_rows(cols_a + cols_b, r, field.p)),
+                       column_matrix(field, r, meet_rows(cols_a, cols_b, r, field.p)),
                        complete_to_full_rank(a)]
             solved = solve_columns(a, a @ x)
             assert solved is not None and a @ solved == a @ x
@@ -137,12 +152,11 @@ def test_nullspace_examples():
 
 
 def test_column_space_contains():
-    m = ExactMatrix.from_rows(F2, [[1, 0], [0, 1]])
-    assert span_contains(m, ExactMatrix.from_rows(F2, [[0], [0]]))
-    e1 = ExactMatrix.from_rows(F2, [[1], [0]])
-    assert not span_contains(e1, ExactMatrix.from_rows(F2, [[0], [1]]))
-    m = ExactMatrix.from_rows(F3, [[1], [1]])
-    assert span_contains(m, ExactMatrix.from_rows(F3, [[2], [2]]))
+    """span(y) ⊆ span(x) exactly when x's canonical rows span x + y too."""
+    ident = span_rows([(1, 0), (0, 1)], 2, 2)
+    assert span_rows(ident + ((0, 0),), 2, 2) == ident
+    assert span_rows([(1, 0), (0, 1)], 2, 2) != span_rows([(1, 0)], 2, 2)
+    assert span_rows([(1, 1), (2, 2)], 2, 3) == span_rows([(1, 1)], 2, 3) == ((1, 1),)
 
 
 def test_complete_to_full_rank_examples():
@@ -174,13 +188,15 @@ def test_zero_dimensional_matrices():
 
 
 def test_span_operations():
-    a = ExactMatrix.from_rows(F3, [[1, 0], [0, 0], [0, 1]]).take_columns([0])
-    b = ExactMatrix.from_rows(F3, [[1], [1], [0]])
-    s = span_sum(a, b)
-    assert s.cols == 2
-    assert span_contains(s, a) and span_contains(s, b)
-    i = span_intersection(s, ExactMatrix.from_rows(F3, [[1], [0], [0]]))
-    assert i.cols == 1
+    a, b = ((1, 0, 0),), ((1, 1, 0),)
+    s = span_rows(a + b, 3, 3)
+    assert s == ((1, 0, 0), (0, 1, 0))
+    assert span_rows(s + a, 3, 3) == s == span_rows(s + b, 3, 3)
+    assert meet_rows(s, ((1, 0, 0),), 3, 3) == ((1, 0, 0),)
+    assert meet_rows(s, ((1, 2, 1),), 3, 3) == ()
+    # over Q the meet keeps Fraction entries
+    q = meet_rows(((Fraction(1), Fraction(2)),), ((Fraction(3), Fraction(6)),), 2, None)
+    assert q == ((1, 2),) and all(type(x) is Fraction for x in q[0])
 
 
 def test_solve_columns():
@@ -242,7 +258,7 @@ def test_column_space_basis_canonical(m):
     basis = column_space_basis(m)
     assert basis.cols == m.rank()
     assert column_space_basis(basis) == basis
-    assert span_contains(basis, m) and span_contains(m, basis)
+    assert hstack([basis, m]).rank() == basis.cols == m.rank()
 
 
 # -- the elimination kernel against brute-force enumeration over GF(2), GF(3)
@@ -273,6 +289,29 @@ def test_rref_kernel_against_enumeration(m):
         assert all(0 <= x < p for x in row)
         assert not any(row[:c]) and row[c] == 1
         assert all(other[c] == 0 for k, other in enumerate(rows) if k != i)
+
+
+@st.composite
+def two_spanning_sets(draw):
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(0, 4))
+    vectors = st.lists(st.tuples(*[st.integers(0, p - 1)] * n), max_size=4)
+    return p, n, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_spanning_sets())
+def test_row_helpers_against_enumeration(case):
+    """span_rows depends on the span alone, and meet_rows gives the canonical
+    rows of the intersection of the enumerated spans."""
+    p, n, x, y = case
+    sx, sy = span_of(x, p, n), span_of(y, p, n)
+    rows = span_rows(x, n, p)
+    assert span_of(rows, p, n) == sx and len(rows) == len(rref(x, n, p)[1])
+    assert span_rows(sorted(sx), n, p) == rows  # every vector of the span spans it too
+    assert (span_rows(y, n, p) == rows) == (sy == sx)
+    meet = meet_rows(x, y, n, p)
+    assert span_of(meet, p, n) == sx & sy and span_rows(meet, n, p) == meet
 
 
 @settings(max_examples=80, deadline=None)

@@ -58,12 +58,15 @@ def test_poset_rejects_relations_that_are_not_strict_orders():
 
 def test_labels_must_be_strings():
     """No dimension vector can name a label that is not a string, since its
-    keys become strings; build_poset still turns labels into strings."""
+    keys become strings: Poset and build_poset both reject such a label."""
     for elements in ([1, 2], ["a", None], [("a",)]):
         with pytest.raises(pr.ValidationError):
             pr.Poset(elements, [])
-    p = pr.build_poset([1, 2], [("1", "2")])
-    assert p.elements == ("1", "2")
+        with pytest.raises(pr.ValidationError):
+            pr.build_poset(elements, [])
+    with pytest.raises(pr.ValidationError):
+        pr.build_poset([1, 2], [("1", "2")])
+    p = pr.build_poset(["1", "2"], [("1", "2")])
     assert pr.tits_value(p, pr.DimensionVector(1, {1: 1, 2: 1})) == 2
 
 

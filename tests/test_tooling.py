@@ -153,8 +153,6 @@ BOUNDARY = {
     ("linalg", "ExactMatrix.from_rows", "ExactMatrix"): "rows a caller gives, once coerced",
     ("jsonio", "rep_from_json", "ExactMatrix"): "blocks read from a file",
     ("jsonio", "rep_from_json", "MatrixRep"): "an element read from a file",
-    ("derivation", "differentiate", "SubspaceRep"):
-        "solve_columns coordinates are not canonical; not a hot path",
 }
 
 
