@@ -8,13 +8,14 @@ of S_k are walked, one per GL(d0)-orbit; the first configuration of each orbit
 represents it, so the representatives depend on the support, d and p alone.
 Each generator permutes the interned subspace ids through a lazily filled
 table, and each orbit is walked from its first configuration by applying every
-generator to every configuration reached.  A census core of numbers and
-configurations is cached per canonical support, computed once per labelled
-support (labels and below masks, read off the poset's) and weights for every
-poset holding it.  count_iso_classes, el_indecomposable_count and the
-verification harness, which sweeps index-aligned tuples, read the core; only
-rep_iso_census and brute_force_indecomposables lift its indecomposables to
-elements.  Indecomposables of finite-type root dimensions are built by the
+generator to every configuration reached.  Each labelled support is put in
+canonical order once for every poset holding it, as (labels, below masks,
+weights), and its census core of numbers and configurations is cached under
+ints alone: (below masks, d0, weights, p).  count_iso_classes,
+el_indecomposable_count and the verification harness, which sweeps
+index-aligned tuples, read the core; only rep_iso_census and
+brute_force_indecomposables lift its indecomposables to elements.
+Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
 roots of that route are kept per labelled order, shared by equal posets and by
 every field.  The main theorem makes the indecomposable of a root unique, so
@@ -45,8 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import ExactMatrix, FieldSpec, resolve_budget, span_rows
-from .poset import (LOCK, Poset, build_poset, canonical_form, induced_subposet,
-                    maximal_elements, memo, _restrict)
+from .poset import LOCK, Poset, canonical_form, maximal_elements, memo, _restrict
 from .reps import (
     MatrixRep,
     SubspaceRep,
@@ -327,18 +327,17 @@ def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _Cens
     return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
 
-def _canonical_support(poset: Poset, weights: tuple[int, ...]):
-    """(canonical order, canonical relations, canonical values) of the support
-    of weights, which has one entry per element of poset.
-
-    Memoized in poset._cache per weights, and in _SUPPORTS per labelled support
-    (its labels, below masks and weights), shared by all posets: the key is
-    read off poset's masks, and the support poset is built only on a miss.
-    """
-    return memo(poset._cache, weights, _relabel_support, poset, weights)
-
-
 _SUPPORTS: dict[tuple, tuple] = {}
+
+
+def _canonical_support(poset: Poset, weights: tuple[int, ...]):
+    """The support of weights, one per element of poset, as (labels in
+    canonical order, below masks renumbered in that order, weights in that
+    order).  Memoized in _SUPPORTS under the caller's (elements, below masks,
+    weights) and under the support's own, so posets share supports and a hit
+    builds no Poset."""
+    key = (poset.elements, poset._below, weights)
+    return memo(_SUPPORTS, key, _relabel_support, poset, weights)
 
 
 def _relabel_support(poset: Poset, weights: tuple[int, ...]):
@@ -350,23 +349,26 @@ def _relabel_support(poset: Poset, weights: tuple[int, ...]):
 
 def _canonical_relabelling(labels: tuple[str, ...], below: tuple[int, ...],
                            weights: tuple[int, ...]):
-    sub, wt = Poset._of(labels, below), dict(zip(labels, weights))
-    _, order = canonical_form(sub, wt)
-    pos = {a: str(i) for i, a in enumerate(order)}
-    rels = frozenset((pos[a], pos[b]) for a, b in sub.relation_pairs())
-    return order, rels, tuple(sorted((str(i), wt[a]) for i, a in enumerate(order)))
+    """The support in canonical order; its masks are read off the key."""
+    sub = Poset._of(labels, below)
+    (n, (pairs, values)), order = canonical_form(sub, dict(zip(labels, weights)))
+    masks = [0] * n
+    for i, j in pairs:
+        masks[j] |= 1 << i
+    return order, tuple(masks), values
 
 
 def _cold_census(key: tuple, budget: int) -> _CensusCore:
-    """The census core of a cache key, on the canonically labelled support."""
-    n, rels, (d0, values), p = key
-    canon = build_poset([str(i) for i in range(n)], rels)
-    return _census_core(canon, DimensionVector(d0, dict(values)), p, budget)
+    """The census core of a cache key, on the support labelled '0', '1', ..."""
+    below, d0, weights, p = key
+    labels = tuple(map(str, range(len(below))))
+    d = DimensionVector._of(d0, dict(zip(labels, weights)))
+    return _census_core(Poset._of(labels, below), d, p, budget)
 
 
 def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
-                   budget: int | None) -> tuple[_CensusCore, tuple[str, ...]]:
-    """The validated, cached census core of d, and the support order its
+                   budget: int | None) -> tuple[_CensusCore, tuple]:
+    """The validated, cached census core of d, and the canonical support its
     configurations are indexed by.  Every public census entry point comes
     through here: the field must be a finite prime field, every element of
     the support must belong to the poset and no entry may be negative."""
@@ -384,18 +386,18 @@ def _census_budget(field: FieldSpec, budget: int | None) -> int:
 
 
 def _census_of(poset: Poset, vec: tuple[int, ...], p: int,
-               budget: int) -> tuple[_CensusCore, tuple[str, ...]]:
+               budget: int) -> tuple[_CensusCore, tuple]:
     """The cached census core over GF(p) of the vector (d0, d(a) for a in
-    poset.elements), with no validation: d0 = 0 skips the cache, and a core
-    past budget raises BudgetExceeded."""
+    poset.elements), and its canonical support, with no validation: d0 = 0
+    skips the cache, and a core past budget raises BudgetExceeded."""
     if vec[0] == 0:
-        return _ZERO_ROWS[any(vec)], ()
-    order, rels, values = _canonical_support(poset, vec[1:])
-    key = (len(order), rels, (vec[0], values), p)
+        return _ZERO_ROWS[any(vec)], ((), (), ())
+    support = _canonical_support(poset, vec[1:])
+    key = (support[1], vec[0], support[2], p)
     core = memo(_CENSUS_CACHE, key, _cold_census, key, budget)
     if core.n_configs > budget:
         raise BudgetExceeded(f"configuration enumeration exceeds budget {budget}")
-    return core, order
+    return core, support
 
 
 def _check_nonnegative(d: DimensionVector):
@@ -403,16 +405,17 @@ def _check_nonnegative(d: DimensionVector):
         raise ValidationError(f"dimension {d} has a negative entry")
 
 
-def _lift_configs(poset: Poset, d0: int, field: FieldSpec, order: tuple[str, ...],
+def _lift_configs(poset: Poset, d0: int, field: FieldSpec, support: tuple,
                   configs: Sequence[tuple[int, ...]]) -> tuple[MatrixRep, ...]:
-    """The elements of poset lifted from census configurations."""
+    """The elements of poset lifted from census configurations of support."""
     if not configs:
         return ()
-    sub = induced_subposet(poset, order)
+    labels, below, _ = support
+    sub = Poset._of(labels, below)
     space = _space(field.p, d0)
     out = []
     for cfg in configs:
-        rows = {a: space.basis_rows(cfg[order.index(a)]) for a in sub.elements}
+        rows = {a: space.basis_rows(sid) for a, sid in zip(labels, cfg)}
         u = lift(SubspaceRep._of(sub, field, d0, rows))
         out.append(MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, u.blocks)))
     return tuple(out)
@@ -423,15 +426,14 @@ def rep_iso_census(poset: Poset, d: DimensionVector, field: FieldSpec,
     """Classes of representations of dimension exactly d over GF(p), with
     each indecomposable lifted to an element of the poset.
 
-    Cached by the canonically labelled support poset, so isomorphic supports
-    share the underlying enumeration.  A cached census still raises
-    BudgetExceeded when its enumeration exceeds the caller's budget.
-    Callers that only count should use
-    count_iso_classes or el_indecomposable_count, which read the cached core
-    and lift nothing.
+    Cached by the canonically labelled support, so isomorphic supports share
+    the underlying enumeration.  A cached census still raises BudgetExceeded
+    when its enumeration exceeds the caller's budget.  Callers that only
+    count should use count_iso_classes or el_indecomposable_count, which read
+    the cached core and lift nothing.
     """
-    core, order = _census_lookup(poset, d, field, budget)
-    indec = _lift_configs(poset, d.d0, field, order, core.indec_configs)
+    core, support = _census_lookup(poset, d, field, budget)
+    indec = _lift_configs(poset, d.d0, field, support, core.indec_configs)
     return Census(poset, d, field, core.count, indec)
 
 
@@ -468,13 +470,13 @@ def brute_force_indecomposables(poset: Poset, d: DimensionVector, field: FieldSp
     d0 = 0 the only indecomposable is a single trivial element.  The tests
     cross-check this against the enumeration of every block matrix.
     """
-    core, order = _census_lookup(poset, d, field, budget)
+    core, support = _census_lookup(poset, d, field, budget)
     if d.d0 == 0:
         if not _indecomposable_count(d, core):
             return []
         (a,) = d.support()
         return [special_T(poset, field, a)]
-    return list(_lift_configs(poset, d.d0, field, order, core.indec_configs))
+    return list(_lift_configs(poset, d.d0, field, support, core.indec_configs))
 
 
 # -- construction -----------------------------------------------------------------
@@ -633,7 +635,7 @@ def verify_main_theorem(poset: Poset, max_total: int,
         if scan != ft:
             ok = False
             failures.append(f"{d}: scan criterion {scan} vs dominance {not witness}")
-        cores: list[tuple[_CensusCore, tuple[str, ...]] | None] = []
+        cores: list[tuple[_CensusCore, tuple] | None] = []
         for f in fields:
             try:
                 cores.append(_census_of(poset, vec, f.p, limit))
@@ -663,8 +665,8 @@ def verify_main_theorem(poset: Poset, max_total: int,
                     indec = special_T(poset, f, a)
                     end_dim = len(el_hom_basis(indec, indec))
                 elif cores[0] is not None and cores[0][0].indec_configs:
-                    core, order = cores[0]
-                    indec, = _lift_configs(poset, d.d0, f, order, core.indec_configs[:1])
+                    core, support = cores[0]
+                    indec, = _lift_configs(poset, d.d0, f, support, core.indec_configs[:1])
                     end_dim = len(el_hom_basis(indec, indec))
                     rep_end = rep_end_dimension(rho(indec))
                     if rep_end != 1 or end_dim != 1:

@@ -221,10 +221,6 @@ class ExactMatrix(Value):
         z = self.field.zero()
         return all(x == z for row in self.data for x in row)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.field, self.cols, self.rows,
-                               _columns(self.data, self.cols))
-
     def take_columns(self, indices: Iterable[int]) -> "ExactMatrix":
         idx = list(indices)
         return ExactMatrix._of(self.field, self.rows, len(idx),

@@ -42,17 +42,17 @@ def memo(table: dict, key, build, *args):
 
 
 class Poset(Value):
-    """Finite strict partial order.  _below[i] and _above[i] are the bitmasks
-    of the elements strictly below and strictly above elements[i], _pairs the
-    relation as sorted index pairs (i, j) with elements[i] ≺ elements[j], and
-    _cache its memo table of canonical supports keyed by their weights.
+    """Finite strict partial order, immutable and holding no table.  _below[i]
+    and _above[i] are the bitmasks of the elements strictly below and above
+    elements[i], _pairs the relation as sorted index pairs (i, j) with
+    elements[i] ≺ elements[j]; memo tables key it by (elements, _below).
 
     The labels must be distinct strings and the pairs transitively closed
     (build_poset closes generating relations): a pair given with its reverse
     raises CycleDetected, and an unclosed relation raises ValidationError.
     """
 
-    __slots__ = ("elements", "_index", "_below", "_above", "_pairs", "_cache")
+    __slots__ = ("elements", "_index", "_below", "_above", "_pairs")
 
     def __init__(self, elements: Sequence[str], lt_pairs: Iterable[tuple[str, str]]):
         elements = _check_labels(elements)
@@ -83,7 +83,7 @@ class Poset(Value):
                     pairs.append((i, j))
         pairs.sort()
         super()._fill(elements, {a: i for i, a in enumerate(elements)}, below, tuple(above),
-                      tuple(pairs), {})
+                      tuple(pairs))
 
     def __eq__(self, other):
         return isinstance(other, Poset) and (self.elements, self._below) == (

@@ -112,12 +112,9 @@ def dimension_of(u: MatrixRep) -> DimensionVector:
     return DimensionVector(u.d0, {a: u.cols(a) for a in u.poset.elements})
 
 
-def stacked_lower_blocks(u: MatrixRep, a: str, strict: bool = False) -> ExactMatrix:
-    """The blocks M(b) for b ⪯ a (or b ≺ a) side by side, in element order."""
-    p = u.poset
-    i = p.index(a)
-    cone = p._labels(p._below[i] if strict else p._below[i] | 1 << i)
-    return hstack([ExactMatrix.zeros(u.field, u.d0, 0)] + [u.blocks[b] for b in cone])
+def stacked_lower_blocks(u: MatrixRep, a: str) -> ExactMatrix:
+    """The blocks M(b) for b ≺ a side by side, in element order."""
+    return hstack([ExactMatrix.zeros(u.field, u.d0, 0)] + [u.blocks[b] for b in u.poset.below(a)])
 
 
 class SubspaceRep(Value):
@@ -371,7 +368,7 @@ def split_trivial_columns(u: MatrixRep) -> tuple[MatrixRep, dict[str, int]]:
 
 def _kept_columns(u: MatrixRep, a: str) -> list[int]:
     """Indices of the pivot columns of M(a) in rref([blocks strictly below a | M(a)])."""
-    return _independent_columns(stacked_lower_blocks(u, a, strict=True), u.blocks[a])
+    return _independent_columns(stacked_lower_blocks(u, a), u.blocks[a])
 
 
 def _find_splitting_idempotent(basis: list[ExactMatrix], n: int, field: FieldSpec,
@@ -585,7 +582,7 @@ def _lift_isomorphism(u: MatrixRep, v: MatrixRep, f: ExactMatrix) -> ElMorphism:
     p, field = u.poset, u.field
     diag, tri = {}, {}
     for a in p.elements:
-        m, m_v, lower = u.blocks[a], v.blocks[a], stacked_lower_blocks(v, a, strict=True)
+        m, m_v, lower = u.blocks[a], v.blocks[a], stacked_lower_blocks(v, a)
         kept, kept_v = _kept_columns(u, a), _independent_columns(lower, m_v)
         trivial = iter(j for j in range(m.cols) if j not in kept)
         match = {i: next(trivial) for i in range(m_v.cols) if i not in kept_v}

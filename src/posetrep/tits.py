@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, UnknownElement, ValidationError
 from .linalg import resolve_budget
-from .poset import CriticalEmbedding, Poset, critical_subposet_embeddings, memo
+from .poset import CriticalEmbedding, Poset, critical_posets, critical_subposet_embeddings, memo
 from .value import Value
 
 DEFAULT_SCAN_BUDGET = 10_000_000
@@ -125,18 +125,14 @@ class CriticalDimension:
         return DimensionVector(self.c0, dict(self.assignment))
 
 
-_CRITICAL_DIMENSIONS = (
-    CriticalDimension("A4", 2, dict.fromkeys(["a1", "b1", "c1", "d1"], 1)),
-    CriticalDimension("T222", 3, dict.fromkeys(["a1", "a2", "b1", "b2", "c1", "c2"], 1)),
-    CriticalDimension(
-        "T133", 4, {"a1": 2, **dict.fromkeys(["b1", "b2", "b3", "c1", "c2", "c3"], 1)}),
-    CriticalDimension(
-        "T125", 6,
-        {"a1": 3, "b1": 2, "b2": 2, **dict.fromkeys(["c1", "c2", "c3", "c4", "c5"], 1)}),
-    CriticalDimension(
-        "K", 5,
-        {"a1": 1, "a2": 2, "b1": 2, "b2": 1, **dict.fromkeys(["c1", "c2", "c3", "c4"], 1)}),
-)
+# c0 and the values in the element order of critical_posets()[kind].
+_CRITICAL_DIMENSIONS = tuple(
+    CriticalDimension(kind, c0, dict(zip(critical_posets()[kind].elements, values)))
+    for kind, c0, values in (("A4", 2, (1, 1, 1, 1)),
+                             ("T222", 3, (1,) * 6),
+                             ("T133", 4, (2, 1, 1, 1, 1, 1, 1)),
+                             ("T125", 6, (3, 2, 2, 1, 1, 1, 1, 1)),
+                             ("K", 5, (1, 2, 2, 1, 1, 1, 1, 1))))
 _CRITICAL_BY_KIND = {c.kind: c for c in _CRITICAL_DIMENSIONS}
 
 

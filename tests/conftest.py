@@ -312,12 +312,11 @@ def kposet():
 
 
 def cold():
-    """Empty every module-level memo table: the census caches, the canonical
-    supports shared by all posets, the shared critical embeddings and their
-    dominance bounds, the construction routes and the built roots, so the
-    next census or construction is computed afresh.  The stabilizers and
-    their tables live on the spaces and go with them; each poset's own
-    _cache is not reached."""
+    """Empty every memo table: the census caches, the canonical supports
+    shared by all posets, the shared critical embeddings and their dominance
+    bounds, the construction routes and the built roots, so the next census
+    or construction is computed afresh.  The stabilizers and their tables
+    live on the spaces and go with them; a Poset holds no table."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
     classify._DERIVED.clear()

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import posetrep as pr
+from posetrep.linalg import hstack
 from posetrep.poset import canonical_form
 from posetrep.reps import rep_decompose, rep_end_dimension, stacked_lower_blocks
 
@@ -212,7 +213,7 @@ def test_criterion_8_property_suites(criterion3_sweep):
     for poset, d, field, u in criterion3_sweep["sincere"]:
         checked += 1
         for a in poset.elements:
-            stack = stacked_lower_blocks(u, a)
+            stack = hstack([stacked_lower_blocks(u, a), u.blocks[a]])
             if stack.rank() != stack.cols:
                 failures.append(f"columns of the stack at {a} are dependent: {d}")
             if pr.el_hom_basis(pr.special_T(poset, field, a), u):

@@ -46,6 +46,7 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     d = pr.DimensionVector(2, dict.fromkeys(["a1", "b1", "b2", "c4"], 1))
     assert len(pr.brute_force_indecomposables(p124, d, F2)) == 1
     assert pr.special_T(a3, F2, "y").cols("y") == 1
+    assert pr.induced_subposet(p124, ["c4", "a1", "b1"]).elements == ("a1", "b1", "c4")
     three = pr.construct_indecomposable(
         a3, pr.DimensionVector(2, dict.fromkeys(a3.elements, 1)), F2)
     twice = direct_sum(three, direct_sum(three, pr.antichain_unit_element(a3, F2, ["x"])))
@@ -65,7 +66,8 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
 
     callers = {cls: {name for name, _ in values} for cls, values in made.items()}
     assert callers[Poset] >= {"build_poset", "induced_subposet", "derive_poset",
-                              "_canonical_relabelling", "_build_root"}
+                              "_canonical_relabelling", "_build_root", "_cold_census",
+                              "_lift_configs"}
     assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_census_core", "_lift_configs",
                                     "differentiate"}
     assert callers[MatrixRep] >= {"lift", "split_trivial_columns", "integrate",

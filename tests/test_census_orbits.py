@@ -154,10 +154,13 @@ def enumerate_configs(poset, d, space):
 def canonical(poset, d):
     """The canonical support poset and dimension the census of d runs on."""
     weights = tuple(d.get(a) for a in poset.elements)
-    order, rels, values = classify._canonical_support(poset, weights)
-    canon = pr.Poset([str(i) for i in range(len(order))], rels)
+    order, below, values = classify._canonical_support(poset, weights)
+    labels = [str(i) for i in range(len(order))]
+    canon = pr.Poset(labels, [(labels[i], labels[j]) for j, mask in enumerate(below)
+                              for i in range(len(below)) if mask >> i & 1])
+    assert canon._below == below  # the memoized masks are a closed order
     dc = pr.DimensionVector(d.d0, {str(i): d.get(a) for i, a in enumerate(order)})
-    assert dc.key() == (d.d0, values)  # the memoized values are the cache key's
+    assert tuple(dc.get(a) for a in labels) == values  # and the key's weights
     return canon, dc
 
 
@@ -373,7 +376,6 @@ def test_census_independent_of_interning_history(a3, a4):
     posets = [a3, a4, pr.primitive_poset(1, 1, 2)]
 
     def reports(poset):
-        poset._cache.clear()
         return pr.verify_main_theorem(poset, 5, [F2, F3])
 
     try:
@@ -418,19 +420,14 @@ def test_census_threads_match_serial(a3, chain4):
     jobs = [lambda job=job: summary(pr.rep_iso_census(*job)) for job in censuses]
     jobs += [lambda job=job: pr.construct_indecomposable(*job) for job in roots]
 
-    def cold_posets():
-        cold()
-        a3._cache.clear()
-        chain4._cache.clear()
-
-    cold_posets()
+    cold()
     serial = [job() for job in jobs]
     assert sum(u is not None for u in serial[len(censuses):]) == len(roots) > 30
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            cold_posets()
+            cold()
             results = [[None] * len(jobs) for _ in range(4)]
             errors = []
 

@@ -2,6 +2,10 @@
 
 import collections
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +17,7 @@ from conftest import (all_dimensions, cold, form_on_box, matrix_indecomposables,
                       positive_roots)
 
 F2, F3 = pr.GF(2), pr.GF(3)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def D(d0, **vals):
@@ -367,15 +372,22 @@ def test_posets_share_canonical_supports(kposet, monkeypatch):
         pr.verify_main_theorem(first, 5, [F2])
         before = set(calls)
         pr.verify_main_theorem(second, 5, [F2])
+        supports = dict(classify._SUPPORTS)
     finally:
         cold()
     assert max(calls.values()) == 1
     assert all("c2" in elements for elements, _, _ in set(calls) - before)
+
+    def held(p):
+        return {w: v for (elements, below, w), v in supports.items()
+                if (elements, below) == (p.elements, p._below)}
+
     # weights on the shared points a1, a2, b1, b2 read the same on both posets
-    shared = [w for w in second._cache if w[-1] == 0 and any(w)]
+    on_first, on_second = held(first), held(second)
+    shared = [w for w in on_second if w[-1] == 0 and any(w)]
     assert len(shared) > 50
     for w in shared:
-        assert w in first._cache and second._cache[w] == first._cache[w]
+        assert w in on_first and on_second[w] == on_first[w]
     assert any(elements == ("a1", "a2", "b1", "b2") for elements, _, _ in before)
 
 
@@ -391,27 +403,65 @@ def test_cache_hits_build_no_poset(kposet, monkeypatch):
     top = max(positive_roots(p124), key=lambda d: d.total())
     support = classify._canonical_support(first, weights)
     u = pr.construct_indecomposable(p124, top, F2)
-    assert weights not in second._cache
+    key = (second.elements, second._below, weights)
+    assert key not in classify._SUPPORTS
     built = collections.Counter()
-    fill, restrict = Poset._fill, classify.induced_subposet
+    fill = Poset._fill
 
-    def counting_fill(self, *args):
+    def counting_fill(self, *args):  # every Poset, induced_subposet's included
         built["Poset"] += 1
         return fill(self, *args)
 
-    def counting_restrict(p, subset):
-        built["induced_subposet"] += 1
-        return restrict(p, subset)
-
     with monkeypatch.context() as m:
         m.setattr(Poset, "_fill", counting_fill)
-        m.setattr(classify, "induced_subposet", counting_restrict)
         again = classify._canonical_support(second, weights)
         w = pr.construct_indecomposable(p124, top, F2)
+    stored = classify._SUPPORTS.get(key)
     cold()
     assert not built
-    assert again == support and weights in second._cache
+    assert again == support == stored
     assert w == u and w is not u
+
+
+def test_cold_reaches_every_support(a3, monkeypatch):
+    """A poset holds no table of its own: after cold(), a census on a poset
+    that has been counted before puts its support in canonical form again."""
+    d = pr.DimensionVector(2, dict.fromkeys(a3.elements, 1))
+    assert pr.count_iso_classes(a3, d, F2) == 5
+    cold()
+    calls = []
+    canonical_form = classify.canonical_form
+
+    def counting(sub, weights):
+        calls.append(sub.elements)
+        return canonical_form(sub, weights)
+
+    monkeypatch.setattr(classify, "canonical_form", counting)
+    try:
+        assert pr.count_iso_classes(a3, d, F2) == 5
+    finally:
+        cold()
+    assert calls == [a3.elements]
+
+
+CENSUS_KEYS = """
+import posetrep as pr
+from posetrep import classify
+poset = pr.build_poset(["a1", "a2", "b1", "b2", "c1"],
+                       [("a2", "a1"), ("b2", "a1"), ("b2", "b1")])
+pr.verify_main_theorem(poset, 4, [pr.GF(2)])
+print(repr(list(classify._CENSUS_CACHE.items())))
+"""
+
+
+def test_census_keys_do_not_depend_on_the_hash_seed():
+    """The census keys hold ints only, so the census cache after a verify
+    prints the same under every hash seed."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    printed = [subprocess.run([sys.executable, "-c", CENSUS_KEYS], capture_output=True, text=True,
+                              check=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("0", "99")]
+    assert printed[0].startswith("[((") and printed[0] == printed[1]
 
 
 def test_verify_rejects_a_field_that_is_not_prime(a3):

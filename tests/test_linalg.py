@@ -118,8 +118,9 @@ def test_trusted_results_equal_checked():
         for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0)] + [
                 (rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)) for _ in range(30)]:
             a, b, x = rand(r, c), rand(r, c), rand(c, k)
-            cols_a, cols_b = a.transpose().data, b.transpose().data
-            results = [a.transpose(), a.take_columns([c - 1, 0] if c else []), a + b, a - b,
+            a_t = column_matrix(field, c, a.data)  # the transpose of a
+            cols_a, cols_b = a_t.data, column_matrix(field, c, b.data).data
+            results = [a_t, a.take_columns([c - 1, 0] if c else []), a + b, a - b,
                        -a, a.scale(2), a.scale(Fraction(1, 2)) if field != F2 else a,
                        a @ x, a.rref()[0], ExactMatrix.identity(field, r),
                        ExactMatrix.zeros(field, r, c), hstack([a, b, rand(r, k)]),
@@ -222,7 +223,7 @@ def small_matrix(draw, fields=(F2, F3, F5, pr.QQ)):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_rank_transpose(m):
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == column_matrix(m.field, m.cols, m.data).rank()
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,7 +319,7 @@ def test_row_helpers_against_enumeration(case):
 @given(small_matrix(fields=(F2, F3)))
 def test_completion_picks_first_enlarging_standard_vectors(m):
     p, n = m.field.p, m.rows
-    columns = m.transpose().data
+    columns = column_matrix(m.field, m.cols, m.data).data
     span = span_of(columns, p, n)
     expected = []
     for i in range(n):
@@ -326,5 +327,6 @@ def test_completion_picks_first_enlarging_standard_vectors(m):
         if e not in span:
             expected.append(e)
             span = span_of([*expected, *columns], p, n)
-    assert list(complete_to_full_rank(m).transpose().data) == expected
+    completion = complete_to_full_rank(m)
+    assert list(column_matrix(m.field, completion.cols, completion.data).data) == expected
     assert p ** n == len(span)

@@ -160,7 +160,7 @@ def test_el_hom_kernel_identity(poset_catalog):
             image_rank = 0
         kernel_dim = len(hom) - image_rank
         expected = sum(
-            u.cols(a) * len(stacked_lower_blocks(v, a).nullspace_basis())
+            u.cols(a) * len(hstack([stacked_lower_blocks(v, a), v.blocks[a]]).nullspace_basis())
             for a in p.elements
         )
         assert kernel_dim == expected
@@ -218,7 +218,7 @@ def test_rho_carries_morphisms(poset_catalog):
         target = pr.rho(w)
         for phi in pr.el_hom_basis(u, w):
             for a in p.elements:
-                moved = phi.phi0 @ stacked_lower_blocks(u, a)
+                moved = phi.phi0 @ hstack([stacked_lower_blocks(u, a), u.blocks[a]])
                 assert hstack([target.subspace(a), moved]).rank() == target.dim(a)
 
 
@@ -548,7 +548,7 @@ def test_krull_schmidt_double_decompose(poset_catalog):
 def test_column_independence_of_sincere_indecomposables(a3):
     u = three_lines(a3)
     for a in a3.elements:
-        stack = stacked_lower_blocks(u, a)
+        stack = hstack([stacked_lower_blocks(u, a), u.blocks[a]])
         assert stack.rank() == stack.cols
 
 

@@ -3,9 +3,9 @@ mode looks them up by string, the README's library example calls them, and
 the README and the cli docstring name the commands that take --budget.
 An API cut that drops one of them must fail here.  Also the source rules
 no test run shows: the Python floor pyproject.toml declares, the one
-lock that every memo table fills under, a cold() that empties every
-module-level memo table, checked constructors only at the boundary, and
-no seeded search."""
+lock that every memo table fills under, memo tables that live in modules
+and a cold() that empties every one, checked constructors only at the
+boundary, and no seeded search."""
 
 import argparse
 import ast
@@ -107,15 +107,20 @@ def test_one_lock_and_no_globals():
     assert locks == ["poset.py"]
 
 
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The names a module assigns at its top level."""
+    return {target.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+
+
 def module_memo_tables():
     """(module, name) of every module-level table that src/ passes to memo()."""
     found = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {target.id for node in tree.body
-                 if isinstance(node, (ast.Assign, ast.AnnAssign))
-                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                 if isinstance(target, ast.Name)}
+        names = top_level_names(tree)
         found.update((f"posetrep.{path.stem}", node.args[0].id) for node in ast.walk(tree)
                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "memo"
                      and isinstance(node.args[0], ast.Name) and node.args[0].id in names)
@@ -188,6 +193,26 @@ def checked_constructions() -> set[tuple[str, str, str]]:
 def test_checked_constructors_only_at_the_boundary():
     """A check that creeps back onto a hot path must be named here first."""
     assert checked_constructions() == set(BOUNDARY)
+
+
+def test_memo_tables_live_in_modules():
+    """Every memo table is a module-level name, or a table of a SubspaceSpace,
+    whose spaces _SPACES owns: no value object carries a table of its own,
+    so cold() reaches every one."""
+    names = {path.stem: top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+             for path in SOURCES}
+    tables, stray = [], []
+    for module, scope, call in scoped_calls():
+        if ast.unparse(call.func) != "memo":
+            continue
+        table = call.args[0]
+        tables.append(table)
+        in_module = isinstance(table, ast.Name) and table.id in names[module]
+        in_space = (scope[:1] == ["SubspaceSpace"] and isinstance(table, ast.Attribute)
+                    and ast.unparse(table.value) == "self")
+        if not (in_module or in_space):
+            stray.append(f"{module}.{'.'.join(scope)}: {ast.unparse(table)}")
+    assert stray == [] and len(tables) >= 10
 
 
 def test_no_seeded_search():
