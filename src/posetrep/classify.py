@@ -10,11 +10,13 @@ Each generator permutes the interned subspace ids through a lazily filled
 table, and each orbit is walked from its first configuration by applying every
 generator to every configuration reached.  Each labelled support is put in
 canonical order once for every poset holding it, as (labels, below masks,
-weights), and its census core of numbers and configurations is cached under
-ints alone: (below masks, d0, weights, p).  count_iso_classes,
-el_indecomposable_count and the verification harness, which sweeps
-index-aligned tuples, read the core; only rep_iso_census and
-brute_force_indecomposables lift its indecomposables to elements.
+weights).  Its census core is a pure function of ints alone, (below masks,
+d0, weights, p), cached under them: the counts, and each indecomposable as
+its subspaces' echelon rows.  Interning ids never leave the cold census, so
+_SPACES only speeds it up.  count_iso_classes, el_indecomposable_count and
+the verification harness, which sweeps index-aligned tuples, read the core;
+only rep_iso_census and brute_force_indecomposables lift its
+indecomposables to elements.
 Indecomposables of finite-type root dimensions are built by the
 derive/recurse/integrate induction alone; the derived posets and subordinate
 roots of that route are kept per labelled order, shared by equal posets and by
@@ -195,9 +197,10 @@ def _space(p: int, n: int) -> SubspaceSpace:
     return memo(_SPACES, (p, n), SubspaceSpace, p, n)
 
 
-def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
+def _enumerate_fibre(below: Sequence[int], weights: Sequence[int], space: SubspaceSpace,
                      budget: int) -> tuple[list[tuple[int, ...]], _Stabilizer, int]:
-    """The fibre of the census of d over its first element.
+    """The fibre, over its first element, of the census of the support with
+    these below masks and weights, in the space of dimension d0.
 
     Elements are enumerated minimal first, so the first one, of dimension
     k = d(first), may take any of the k-subspaces; here it is fixed to the
@@ -209,13 +212,12 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
     larger.  BudgetExceeded is raised as soon as the full count would pass
     the budget.
     """
-    n_elems = len(poset)
-    below = [[j for j in range(n_elems) if mask >> j & 1] for mask in poset._below]
-    order = sorted(range(n_elems), key=lambda i: (len(below[i]), i))
+    n_elems = len(below)
+    lower = [[j for j in range(n_elems) if mask >> j & 1] for mask in below]
+    order = sorted(range(n_elems), key=lambda i: (len(lower[i]), i))
     if not order:
         return [()], space.stabilizer(0), 1
-    dims = [d.get(a) for a in poset.elements]
-    k, n, p = dims[order[0]], space.n, space.p
+    k, n, p = weights[order[0]], space.n, space.p
     if k > n:
         return [], space.stabilizer(0), 0
     firsts = math.prod(p ** (n - i) - 1 for i in range(k)) // \
@@ -234,11 +236,11 @@ def _enumerate_fibre(poset: Poset, d: DimensionVector, space: SubspaceSpace,
             return
         i = order[step]
         base = space.zero_id
-        for j in below[i]:
+        for j in lower[i]:
             base = space.join(base, assignment[j])
-        if space.dim(base) + dims[i] > space.n:
+        if space.dim(base) + weights[i] > space.n:
             return
-        for sid in space.supersets(base, dims[i]):
+        for sid in space.supersets(base, weights[i]):
             assignment[i] = sid
             rec(step + 1)
 
@@ -295,36 +297,13 @@ class Census:
 @dataclass(frozen=True)
 class _CensusCore:
     count: int
-    indec_configs: tuple[tuple[int, ...], ...]
+    indec_configs: tuple[tuple, ...]   # each one's subspace rows, in support order
     n_configs: int                     # configurations of d, held against budgets
 
 
 _CENSUS_CACHE: dict[tuple, _CensusCore] = {}
 # The cores of zero rows: one class when the support is empty, none otherwise.
 _ZERO_ROWS = (_CensusCore(1, (), 0), _CensusCore(0, (), 0))
-
-
-def _census_core(canon: Poset, d: DimensionVector, p: int, budget: int) -> _CensusCore:
-    """The census of d, taken on the fibre over its first element.
-
-    GL(d0) is transitive on the k-subspaces the first element can take, so
-    each GL(d0)-orbit meets the fibre over the coordinate span S_k in
-    exactly one orbit of its stabilizer, and the representatives are the
-    first configuration of each, in the fibre's order.  S_k leads the
-    k-subspaces in echelon order, so the fibre is the first block of the full
-    enumeration: the representatives are those of the full enumeration, in
-    the same order, whatever the process interned before.
-    """
-    space = _space(p, d.d0)
-    configs, group, n_firsts = _enumerate_fibre(canon, d, space, budget)
-    reps = _orbit_representatives(configs, group)
-    field = FieldSpec("gf", p)
-    indec = []
-    for cfg in reps:
-        rows = {a: space.basis_rows(cfg[i]) for i, a in enumerate(canon.elements)}
-        if _splitting_idempotent(SubspaceRep._of(canon, field, d.d0, rows)) is None:
-            indec.append(cfg)
-    return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
 
 _SUPPORTS: dict[tuple, tuple] = {}
@@ -359,11 +338,33 @@ def _canonical_relabelling(labels: tuple[str, ...], below: tuple[int, ...],
 
 
 def _cold_census(key: tuple, budget: int) -> _CensusCore:
-    """The census core of a cache key, on the support labelled '0', '1', ..."""
+    """The census core of a cache key (below masks, d0, weights, p), taken
+    on the fibre over its first element.
+
+    GL(d0) is transitive on the k-subspaces the first element can take, so
+    each GL(d0)-orbit meets the fibre over the coordinate span S_k in
+    exactly one orbit of its stabilizer, and the representatives are the
+    first configuration of each, in the fibre's order.  S_k leads the
+    k-subspaces in echelon order, so the fibre is the first block of the full
+    enumeration: the representatives are those of the full enumeration, in
+    the same order, whatever the process interned before.  Each
+    indecomposable is kept as its subspaces' echelon rows, in the support's
+    canonical order, so the core holds no interning id; the support poset,
+    labelled '0', '1', ..., is built only for the idempotent search.
+    """
     below, d0, weights, p = key
+    space = _space(p, d0)
+    configs, group, n_firsts = _enumerate_fibre(below, weights, space, budget)
+    reps = _orbit_representatives(configs, group)
     labels = tuple(map(str, range(len(below))))
-    d = DimensionVector._of(d0, dict(zip(labels, weights)))
-    return _census_core(Poset._of(labels, below), d, p, budget)
+    canon, field = Poset._of(labels, below), FieldSpec("gf", p)
+    indec = []
+    for cfg in reps:
+        rows = tuple(map(space.basis_rows, cfg))
+        v = SubspaceRep._of(canon, field, d0, dict(zip(labels, rows)))
+        if _splitting_idempotent(v) is None:
+            indec.append(rows)
+    return _CensusCore(len(reps), tuple(indec), len(configs) * n_firsts)
 
 
 def _census_lookup(poset: Poset, d: DimensionVector, field: FieldSpec,
@@ -406,17 +407,16 @@ def _check_nonnegative(d: DimensionVector):
 
 
 def _lift_configs(poset: Poset, d0: int, field: FieldSpec, support: tuple,
-                  configs: Sequence[tuple[int, ...]]) -> tuple[MatrixRep, ...]:
-    """The elements of poset lifted from census configurations of support."""
+                  configs: Sequence[tuple]) -> tuple[MatrixRep, ...]:
+    """The elements of poset lifted from census configurations of support,
+    each the echelon rows of its subspaces in the support's order."""
     if not configs:
         return ()
     labels, below, _ = support
     sub = Poset._of(labels, below)
-    space = _space(field.p, d0)
     out = []
     for cfg in configs:
-        rows = {a: space.basis_rows(sid) for a, sid in zip(labels, cfg)}
-        u = lift(SubspaceRep._of(sub, field, d0, rows))
+        u = lift(SubspaceRep._of(sub, field, d0, dict(zip(labels, cfg))))
         out.append(MatrixRep._of(poset, field, d0, _padded_blocks(poset, field, d0, u.blocks)))
     return tuple(out)
 

@@ -38,7 +38,6 @@ class DerivedPoset:
     pivot: str
     pairs: tuple[PairMark, ...]
     result: Poset
-    provenance: Mapping[str, tuple]
 
 
 def derive_poset(p: Poset, a: str) -> DerivedPoset:
@@ -69,9 +68,6 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
         marks.append(PairMark(label, (b, c), prime, second))
         members.append(1 << j | 1 << k)
 
-    provenance: dict[str, tuple] = {x: ("element", x) for x in elems if x != a}
-    for pm in marks:
-        provenance[pm.label] = ("pair", pm.members)
     # B ≺ C when each member of B is at or below some member of C: on these
     # member sets that order is transitive and antisymmetric, so it is closed
     reach = [above[j] | 1 << j for j in range(n)]
@@ -82,7 +78,7 @@ def derive_poset(p: Poset, a: str) -> DerivedPoset:
     order = tuple(sum(1 << s for s, low in enumerate(members) if s != t and dominated(low, high))
                   for t, high in enumerate(members))
     result = Poset._of((*(x for x in elems if x != a), *(pm.label for pm in marks)), order)
-    return DerivedPoset(p, a, tuple(marks), result, provenance)
+    return DerivedPoset(p, a, tuple(marks), result)
 
 
 def differentiate(v: SubspaceRep, a: str,
@@ -101,10 +97,10 @@ def differentiate(v: SubspaceRep, a: str,
         raise ContextMismatch("derivation context does not match representation/pivot")
     n, q, va = v.ambient_dim, v.field.p, v.rows[a]
     pivots = [row.index(1) for row in va]
+    pairs = {pm.label: pm.members for pm in context.pairs}
     rows = {}
     for x in context.result.elements:
-        kind, payload = context.provenance[x]
-        span = v.rows[payload] if kind == "element" else v.rows[payload[0]] + v.rows[payload[1]]
+        span = v.rows[pairs[x][0]] + v.rows[pairs[x][1]] if x in pairs else v.rows[x]
         rows[x] = tuple(tuple(w[c] for c in pivots) for w in meet_rows(span, va, n, q))
     check_order(context.result, len(va), q, rows)
     return SubspaceRep._of(context.result, v.field, len(va), rows)

@@ -546,7 +546,7 @@ def are_isomorphic(u: MatrixRep, v: MatrixRep,
         return None
     if dimension_of(u) != dimension_of(v):
         return None
-    if u == v:
+    if u == v:  # the only exit for zero-row elements: no summands, and hstack([]) raises
         return _identity_morphism(u)
     for h in el_hom_basis(u, v):
         if h.is_invertible():

@@ -53,10 +53,6 @@ class DimensionVector(Value):
     def total(self) -> int:
         return self.d0 + sum(self.values.values())
 
-    def restrict(self, subset) -> "DimensionVector":
-        subset = set(subset)
-        return DimensionVector(self.d0, {a: v for a, v in self.values.items() if a in subset})
-
     def key(self):
         return (self.d0, tuple(sorted(self.values.items())))
 

@@ -316,7 +316,9 @@ def cold():
     shared by all posets, the shared critical embeddings and their dominance
     bounds, the construction routes and the built roots, so the next census
     or construction is computed afresh.  The stabilizers and their tables
-    live on the spaces and go with them; a Poset holds no table."""
+    live on the spaces and go with them; a Poset holds no table.  A census
+    core holds echelon rows, no interning id, so the spaces only speed up a
+    cold census: emptying _SPACES alone leaves every cached census valid."""
     classify._CENSUS_CACHE.clear()
     classify._SPACES.clear()
     classify._DERIVED.clear()

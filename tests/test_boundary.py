@@ -68,7 +68,7 @@ def test_trusted_values_equal_checked(monkeypatch, a3, a4):
     assert callers[Poset] >= {"build_poset", "induced_subposet", "derive_poset",
                               "_canonical_relabelling", "_build_root", "_cold_census",
                               "_lift_configs"}
-    assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_census_core", "_lift_configs",
+    assert callers[SubspaceRep] >= {"rho", "_restrict_rep", "_cold_census", "_lift_configs",
                                     "differentiate"}
     assert callers[MatrixRep] >= {"lift", "split_trivial_columns", "integrate",
                                   "_construct_root", "_lift_configs", "special_T",

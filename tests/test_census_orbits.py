@@ -164,6 +164,12 @@ def canonical(poset, d):
     return canon, dc
 
 
+def census_key(poset, d, p):
+    """The census cache key of d over GF(p): (below masks, d0, weights, p)."""
+    canon, dc = canonical(poset, d)
+    return canon._below, d.d0, tuple(dc.get(a) for a in canon.elements), p
+
+
 def census_configs(poset, d, p):
     """Every configuration of (poset, d, GF(p)), by the full enumeration, and
     its space."""
@@ -178,14 +184,15 @@ def check_fibre_census(poset, d, p):
     representatives."""
     configs, space = census_configs(poset, d, p)
     reps = flood_representatives(configs, space)
-    canon, dc = canonical(poset, d)
-    fibre, group, m = classify._enumerate_fibre(canon, dc, space,
+    key = census_key(poset, d, p)
+    fibre, group, m = classify._enumerate_fibre(key[0], key[2], space,
                                                 classify.DEFAULT_ENUM_BUDGET)
     assert fibre == configs[:len(fibre)] and len(fibre) * m == len(configs), d
     assert classify._orbit_representatives(fibre, group) == reps, d
-    core = classify._census_core(canon, dc, p, classify.DEFAULT_ENUM_BUDGET)
+    core = classify._cold_census(key, classify.DEFAULT_ENUM_BUDGET)
     assert (core.count, core.n_configs) == (len(reps), len(configs)), d
-    assert list(core.indec_configs) == [c for c in reps if c in core.indec_configs], d
+    rows = [tuple(map(space.basis_rows, c)) for c in reps]
+    assert list(core.indec_configs) == [r for r in rows if r in core.indec_configs], d
     return reps
 
 
@@ -357,13 +364,14 @@ def test_fibre_fixed_at_the_coordinate_span():
         space = classify._space(2, 2)
         space._intern_span([[1, 1]])
         canon, dc = canonical(antichain(3), ones(3, 2))
-        fibre, group, m = classify._enumerate_fibre(canon, dc, space,
+        key = census_key(antichain(3), ones(3, 2), 2)
+        fibre, group, m = classify._enumerate_fibre(key[0], key[2], space,
                                                     classify.DEFAULT_ENUM_BUDGET)
         first = space._intern_span([[1, 0]])
         assert space.supersets(space.zero_id, 1)[0] == first
         assert fibre and {cfg[0] for cfg in fibre} == {first}
         assert group.fixed == first and m == 3
-        assert classify._census_core(canon, dc, 2, classify.DEFAULT_ENUM_BUDGET).count == \
+        assert classify._cold_census(key, classify.DEFAULT_ENUM_BUDGET).count == \
             len(flood_representatives(enumerate_configs(canon, dc, space), space)) == \
             burnside_point_tuple_orbits(2, 2, 3)
     finally:

@@ -1,6 +1,7 @@
 """Counting oracles, constructor, and the verification harness."""
 
 import collections
+import dataclasses
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 
 import posetrep as pr
 from posetrep import classify
+from posetrep.cli import main
 from posetrep.poset import Poset
 
 from conftest import (all_dimensions, cold, form_on_box, matrix_indecomposables,
@@ -104,8 +106,8 @@ def test_census_cache_respects_budget(a4):
     256 configurations of (2; 1, 1, 1, 1) over GF(3), not the 64 of the
     fibre it runs on, cold or cached."""
     d = D(2, w=1, x=1, y=1, z=1)
-    fibre, _, m = classify._enumerate_fibre(a4, d, classify._space(3, 2),
-                                            classify.DEFAULT_ENUM_BUDGET)
+    fibre, _, m = classify._enumerate_fibre(a4._below, [d.get(a) for a in a4.elements],
+                                            classify._space(3, 2), classify.DEFAULT_ENUM_BUDGET)
     assert (len(fibre), m) == (64, 4)
     classify._CENSUS_CACHE.clear()
     with pytest.raises(pr.BudgetExceeded):
@@ -318,6 +320,51 @@ def test_verify_criterion_disagreement_fails_the_report(a3, a4, monkeypatch):
     assert not any(r.ok for r in reports)
 
 
+def skew_counts(monkeypatch):
+    census_of = classify._census_of
+
+    def skewed(poset, vec, p, budget):
+        core, support = census_of(poset, vec, p, budget)
+        return dataclasses.replace(core, count=core.count + (p == 3)), support
+
+    monkeypatch.setattr(classify, "_census_of", skewed)
+
+
+# one fault per check verify makes past the criteria, and the failure it reports
+VERIFY_FAULTS = {
+    "indecomposable count": (
+        lambda mp: mp.setattr(classify, "_indecomposable_count", lambda d, core: 2),
+        "indecomposables, expected"),
+    "class counts": (skew_counts, "class counts differ across fields"),
+    "representation End": (
+        lambda mp: mp.setattr(classify, "rep_end_dimension", lambda v: 2),
+        "End dims rep=2 el=1, expected 1"),
+    "construction": (
+        lambda mp: mp.setattr(classify, "construct_indecomposable",
+                              lambda poset, d, f: pr.special_T(poset, f, poset.elements[0])),
+        "constructed element not isomorphic"),
+}
+
+
+@pytest.mark.parametrize("fault", VERIFY_FAULTS)
+def test_verify_reports_each_failed_check(a3, tmp_path, capsys, monkeypatch, fault):
+    """Each check verify makes fails its report when its premise is broken,
+    and posetrep verify prints every failure and exits 1."""
+    inject, text = VERIFY_FAULTS[fault]
+    inject(monkeypatch)
+    reports, failures = pr.verify_main_theorem(a3, 3, [F2, F3])
+    bad = [str(r.dimension) for r in reports if not r.ok]
+    assert bad and failures and all(text in f for f in failures)
+    assert all(any(f.startswith(f"{d}:") or f.startswith(f"{d} over ") for d in bad)
+               for f in failures)
+    poset = tmp_path / "a3.json"
+    poset.write_text('{"elements": ["x", "y", "z"], "relations": []}')
+    assert main(["verify", "--poset", str(poset), "--max-total", "3", "--fields", "2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failed: ")
+    assert err.splitlines() == [f"assertion failed: {f}" for f in failures]
+
+
 def bounded_vectors(slots, total):
     """Every vector of slots entries >= 0 with sum <= total."""
     if not slots:
@@ -462,6 +509,45 @@ def test_census_keys_do_not_depend_on_the_hash_seed():
                               check=True, env={**env, "PYTHONHASHSEED": seed}).stdout
                for seed in ("0", "99")]
     assert printed[0].startswith("[((") and printed[0] == printed[1]
+
+
+def test_census_cores_do_not_depend_on_the_census_order(a3):
+    """A core holds no interning id: two censuses run in either order from
+    cold tables leave equal caches, though they intern in different orders."""
+    chain = pr.build_poset(["a", "b"], [("a", "b")])
+    censuses = [(a3, D(2, x=1, y=1, z=1)), (chain, D(2, a=1, b=1))]
+    caches = []
+    try:
+        for order in (censuses, censuses[::-1]):
+            cold()
+            for poset, d in order:
+                pr.count_iso_classes(poset, d, F3)
+            caches.append(dict(classify._CENSUS_CACHE))
+    finally:
+        cold()
+    assert caches[0] == caches[1]
+    assert any(core.indec_configs for core in caches[0].values())
+
+
+def test_cached_census_survives_dropping_the_spaces(a3, a4):
+    """The interned spaces only speed up a cold census: with them dropped, a
+    cached census lifts the same elements and builds no space."""
+    cases = [(a3, D(2, x=1, y=1, z=1), F3), (a4, D(2, w=1, x=1, y=1, z=1), F2),
+             (a4, D(2, w=1, x=1, y=1, z=1), F3)]
+
+    def answers():
+        return [(pr.rep_iso_census(p, d, f), pr.brute_force_indecomposables(p, d, f))
+                for p, d, f in cases]
+
+    try:
+        before = answers()
+        cached = dict(classify._CENSUS_CACHE)
+        classify._SPACES.clear()
+        assert answers() == before
+        assert classify._CENSUS_CACHE == cached and not classify._SPACES
+    finally:
+        cold()
+    assert all(census.indecomposables for census, _ in before)
 
 
 def test_verify_rejects_a_field_that_is_not_prime(a3):

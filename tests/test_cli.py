@@ -1,6 +1,7 @@
 """End-to-end command-line runs through JSON files."""
 
 import hashlib
+import io
 import json
 import random
 
@@ -158,6 +159,7 @@ OUT_OF_RANGE = {
     "verify budget -5": (["verify", "--budget", "-5"], None),
     "brute-count budget -1": (["brute-count", "--budget", "-1"], None),
     "POSETREP_BUDGET -1": (["brute-count"], "-1"),
+    "POSETREP_BUDGET not an integer": (["brute-count"], "many"),
 }
 
 
@@ -181,25 +183,34 @@ def test_round_trip_reparse(tmp_path, capsys, a3_file):
     assert jsonio.canonical_dumps(jsonio.derived_to_json(ctx)) == jsonio.canonical_dumps(out)
 
 
-def test_validation_errors(tmp_path, capsys, a3_file):
+def test_validation_errors(tmp_path, capsys, monkeypatch, a3_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     code, _ = run(capsys, "tits", "--poset", str(bad), "--dim", str(bad))
     assert code == 2
-    # a file that is not UTF-8, a relation member that is not a string, and
-    # JSON nested deeper than the parser recurses
+    # a file that is not UTF-8, a relation member that is not a string, JSON
+    # nested deeper than the parser recurses, a path that is not there, and
+    # poset files that are not a list of labels and a list of relations
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"elements": ["\xe9"]}')
     pair = write(tmp_path, "pair.json", {"elements": ["x", "y"], "relations": [["x", ["y"]]]})
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    missing = tmp_path / "missing.json"
+    shapes = [write(tmp_path, f"shape{i}.json", obj) for i, obj in enumerate([
+        ["x", "y"], {"relations": []}, {"elements": "xy"}, {"elements": ["x", 1]},
+        {"elements": ["x", "y"], "relations": "x<y"}])]
     one = write(tmp_path, "one.json", {"0": 1})
-    for poset in (latin, pair, deep):
-        code, _ = run(capsys, "tits", "--poset", str(poset), "--dim", one)
-        assert code == 2
-    dim = write(tmp_path, "d.json", {"0": 1, "unknown": 1})
-    code, _ = run(capsys, "tits", "--poset", a3_file, "--dim", dim)
-    assert code == 2
+    for poset in (latin, pair, deep, missing, *shapes):
+        assert main(["tits", "--poset", str(poset), "--dim", one]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # dimension files that are not an object of counts over the poset
+    for obj in ({"0": 1, "unknown": 1}, [1], {"0": -1}, {"x": "1"}, {"x": True}):
+        assert main(["tits", "--poset", a3_file, "--dim", write(tmp_path, "d.json", obj)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    # --poset - reads the poset from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"elements": ["x", "y", "z"], "relations": []}'))
+    assert run(capsys, "tits", "--poset", "-", "--dim", one) == (0, {"value": 1})
     dim_ok = write(tmp_path, "ok.json", {"0": 1})
     code, _ = run(capsys, "brute-count", "--poset", a3_file, "--dim", dim_ok,
                   "--field", "4")
@@ -224,6 +235,12 @@ MALFORMED_REPS = {
     "float entry": {"field": {"p": 2}, "d0": 1, "blocks": {"x": [[1.5]]}},
     "zero denominator": {"field": "Q", "d0": 1, "blocks": {"x": [["1/0"]]}},
     "row not a list": {"field": {"p": 2}, "d0": 1, "blocks": {"x": [1]}},
+    "blocks a list": {"field": {"p": 2}, "d0": 1, "blocks": [[1]]},
+    "characteristic a string": {"field": {"p": "2"}, "d0": 1, "blocks": {}},
+    "field a word": {"field": "R", "d0": 1, "blocks": {}},
+    "no d0": {"field": {"p": 2}, "blocks": {}},
+    "negative d0": {"field": {"p": 2}, "d0": -1, "blocks": {}},
+    "block_cols with rows": {"field": {"p": 2}, "d0": 1, "block_cols": {"x": 1}},
 }
 
 
@@ -243,6 +260,7 @@ MALFORMED_DERIVED = {
             derived={"elements": ["x", "y", "z"], "relations": []}, pairs=[]),
         {"x": [[1]]}),
     "pivot a list": (lambda derived: derived.update(pivot=["x"]), {"{y,z}": [[1]]}),
+    "no base": (lambda derived: derived.pop("base"), {"{y,z}": [[1]]}),
 }
 
 

@@ -5,7 +5,8 @@ An API cut that drops one of them must fail here.  Also the source rules
 no test run shows: the Python floor pyproject.toml declares, the one
 lock that every memo table fills under, memo tables that live in modules
 and a cold() that empties every one, checked constructors only at the
-boundary, and no seeded search."""
+boundary, interning ids read only inside the cold census, and no seeded
+search."""
 
 import argparse
 import ast
@@ -161,19 +162,24 @@ BOUNDARY = {
 }
 
 
-def scoped_calls():
-    """(module, enclosing classes and functions, call) for every call in src/."""
+def scoped_nodes():
+    """(module, enclosing classes and functions, node) for every node in src/."""
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                yield module, scope, child
+            yield module, scope, child
             yield from visit(child, module, scope)
 
     for path in SOURCES:
         yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+
+
+def scoped_calls():
+    """(module, enclosing classes and functions, call) for every call in src/."""
+    return ((module, scope, node) for module, scope, node in scoped_nodes()
+            if isinstance(node, ast.Call))
 
 
 def checked_constructions() -> set[tuple[str, str, str]]:
@@ -213,6 +219,27 @@ def test_memo_tables_live_in_modules():
         if not (in_module or in_space):
             stray.append(f"{module}.{'.'.join(scope)}: {ast.unparse(table)}")
     assert stray == [] and len(tables) >= 10
+
+
+# The only code that sees a subspace's interning id: the interning tables,
+# the stabilizers acting on them, and the cold census that enumerates and
+# walks its orbits on ids, then hands every caller echelon rows.
+INTERNING = {"SubspaceSpace", "_Stabilizer", "_enumerate_fibre", "_orbit_representatives",
+             "_cold_census"}
+
+
+def test_interning_ids_stay_in_the_cold_census():
+    """_space and .basis_rows, which turn an id into rows, are reached only
+    inside the interning code: a census core holds rows, so dropping the
+    spaces leaves every cached census liftable."""
+    def reads_an_id(node):
+        return (isinstance(node, ast.Name) and node.id == "_space"
+                or isinstance(node, ast.Attribute) and node.attr == "basis_rows")
+
+    reads = [f"{module}.{'.'.join(scope)}: {ast.unparse(node)}"
+             for module, scope, node in scoped_nodes()
+             if reads_an_id(node) and not INTERNING & set(scope[:1])]
+    assert reads == []
 
 
 def test_no_seeded_search():
